@@ -64,6 +64,15 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
     set_error(error, "latches not supported (combinational AIGs only)");
     return std::nullopt;
   }
+  // Bound every count by the text before allocating anything: each input
+  // and output line takes at least 2 bytes and each AND line at least 6, and
+  // M sizes the variable tables, so it may not exceed the byte count either
+  // (write_aiger emits M = I + A). Within these bounds no sum below wraps.
+  const std::size_t len = text.size();
+  if (m > len || i > len / 2 || o > len / 2 || a > len / 6) {
+    set_error(error, "header counts exceed input length");
+    return std::nullopt;
+  }
   if (m < i + a) {
     set_error(error, "inconsistent header counts");
     return std::nullopt;

@@ -10,7 +10,7 @@
 // methods) plus the model-family memo of the last query's per-level states.
 // Outputs are bitwise identical to rebuilding the graph from scratch and
 // calling predict_probabilities/embeddings on it. See gnn/incremental.hpp
-// for the memo/knob semantics (DEEPGATE_INCREMENTAL_MEMO[_MB]).
+// for the memo semantics and its cap (DEEPGATE_INCREMENTAL_MEMO_MB).
 #pragma once
 
 #include "core/deepgate.hpp"

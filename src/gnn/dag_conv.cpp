@@ -23,15 +23,8 @@ class DagConvModel final : public Model {
   }
 
   Tensor embed(const CircuitGraph& g) const override {
-    count_full_forward();
-    auto states = init_level_states(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
-    const auto x_lvl = level_onehot(g);
-    for (const auto& layer : layers_) {
-      // Queries (h^{l-1}) are the states at layer entry.
-      const std::vector<Tensor> queries = states;
-      layer.run(g, states, queries, x_lvl);
-    }
-    return full_from_levels(states, g);
+    LayeredSweeps sweeps(g, cfg_, layers());
+    return run_sweeps(sweeps);
   }
 
   Tensor predict(const CircuitGraph& g) const override {
@@ -50,16 +43,14 @@ class DagConvModel final : public Model {
   }
 
   std::unique_ptr<IncrementalState> make_incremental_state() const override {
-    return std::make_unique<LayeredIncrementalState>();
+    return std::make_unique<MemoState>();
   }
 
   ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
                                      const std::vector<int>& old_of_new,
                                      IncrementalRunStats* stats) const override {
-    std::vector<const DirectedLayer*> sweeps;
-    sweeps.reserve(layers_.size());
-    for (const auto& layer : layers_) sweeps.push_back(&layer);
-    return run_layered_incremental(g, sweeps, regressor_, cfg_, state, old_of_new, stats);
+    LayeredSweeps sweeps(g, cfg_, layers());
+    return run_incremental(sweeps, regressor_, cfg_.dim, state, old_of_new, stats);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -77,6 +68,13 @@ class DagConvModel final : public Model {
   const char* name() const override { return "DAG-ConvGNN"; }
 
  private:
+  std::vector<const DirectedLayer*> layers() const {
+    std::vector<const DirectedLayer*> out;
+    out.reserve(layers_.size());
+    for (const auto& layer : layers_) out.push_back(&layer);
+    return out;
+  }
+
   std::vector<DirectedLayer> layers_;
   Regressor regressor_;
 };

@@ -1,8 +1,8 @@
 // Recurrent DAG propagation (Eq. 4) — the shared engine behind both the
 // DAG-RecGNN baseline and DeepGate itself. One forward layer followed by one
-// reversed layer (separate parameters, Sec. III-C), applied T times; queries
-// for the attention aggregator are the states at entry of each directional
-// sweep (h^{t-1} of Eq. 5).
+// reversed layer (separate parameters, Sec. III-C), applied T times; the
+// attention query of a level is its state at entry of each directional sweep
+// (h^{t-1} of Eq. 5).
 #include "gnn/incremental.hpp"
 #include "gnn/models.hpp"
 
@@ -48,19 +48,14 @@ class RecurrentDagModel final : public Model {
   }
 
   std::unique_ptr<IncrementalState> make_incremental_state() const override {
-    return std::make_unique<LayeredIncrementalState>();
+    return std::make_unique<MemoState>();
   }
 
   ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
                                      const std::vector<int>& old_of_new,
                                      IncrementalRunStats* stats) const override {
-    std::vector<const DirectedLayer*> sweeps;
-    sweeps.reserve(static_cast<std::size_t>(cfg_.iterations) * (rev_ ? 2 : 1));
-    for (int t = 0; t < cfg_.iterations; ++t) {
-      sweeps.push_back(fwd_.get());
-      if (rev_) sweeps.push_back(rev_.get());
-    }
-    return run_layered_incremental(g, sweeps, regressor_, cfg_, state, old_of_new, stats);
+    LayeredSweeps sweeps(g, cfg_, layers(cfg_.iterations));
+    return run_incremental(sweeps, regressor_, cfg_.dim, state, old_of_new, stats);
   }
 
   ForwardOutputs outputs_iterations(const CircuitGraph& g, int iterations) const {
@@ -69,24 +64,19 @@ class RecurrentDagModel final : public Model {
   }
 
   Tensor embed_iterations(const CircuitGraph& g, int iterations) const {
-    count_full_forward();
-    auto states = init_level_states(g, cfg_.dim, cfg_.random_h0, cfg_.seed);
-    const auto x_lvl = level_onehot(g);
-    // Per-graph constants (pe projection, inv_deg) are identical across the T
-    // sweeps; the scratch lets each directional layer compute them once.
-    DirectedLayer::Scratch fwd_scratch;
-    DirectedLayer::Scratch rev_scratch;
+    LayeredSweeps sweeps(g, cfg_, layers(iterations));
+    return run_sweeps(sweeps);
+  }
+
+  /// The sweep order of T iterations: [fwd, rev] x T.
+  std::vector<const DirectedLayer*> layers(int iterations) const {
+    std::vector<const DirectedLayer*> out;
+    out.reserve(static_cast<std::size_t>(iterations) * (rev_ ? 2 : 1));
     for (int t = 0; t < iterations; ++t) {
-      {
-        const std::vector<Tensor> queries = states;
-        fwd_->run(g, states, queries, x_lvl, &fwd_scratch);
-      }
-      if (rev_) {
-        const std::vector<Tensor> queries = states;
-        rev_->run(g, states, queries, x_lvl, &rev_scratch);
-      }
+      out.push_back(fwd_.get());
+      if (rev_) out.push_back(rev_.get());
     }
-    return full_from_levels(states, g);
+    return out;
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {

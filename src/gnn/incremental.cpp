@@ -4,34 +4,12 @@
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 
-#include <atomic>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace dg::gnn {
 
 using nn::Tensor;
-
-namespace {
-
-std::atomic<int> g_memo_override{-1};  // -1 = follow env, 0 = off, 1 = on
-
-}  // namespace
-
-bool incremental_memo_enabled() {
-  const int o = g_memo_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return util::env_str("DEEPGATE_INCREMENTAL_MEMO", "on") != "off";
-}
-
-void incremental_memo_set_enabled(bool on) {
-  g_memo_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void incremental_memo_clear_override() {
-  g_memo_override.store(-1, std::memory_order_relaxed);
-}
 
 double incremental_memo_cap_mb() {
   return util::env_double("DEEPGATE_INCREMENTAL_MEMO_MB", 512.0);
@@ -62,6 +40,10 @@ void GraphSnapshot::capture(const CircuitGraph& g) {
   }
 }
 
+namespace {
+
+/// Per-node dirty seeds: nodes whose h0 or per-level update inputs differ
+/// from the memoized generation. Conservative in the safe direction only.
 std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot& snap,
                                       const std::vector<int>& old_of_new,
                                       const DirtySeedOptions& opts) {
@@ -140,250 +122,179 @@ std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot
   return dirty;
 }
 
-namespace {
+}  // namespace
 
-/// h0 per-level matrices of the current graph — checkpoint 0. Fresh values
-/// equal the memoized checkpoint 0 bitwise on every clean row: the random
-/// stream is a pure function of (seed, level, row) and the padded variant of
-/// the gate type (see model_common's h0_row_seed).
-std::vector<nn::Matrix> h0_levels(const CircuitGraph& g, const ModelConfig& cfg,
-                                  bool random_h0) {
-  std::vector<Tensor> states = init_level_states(g, cfg.dim, random_h0, cfg.seed);
-  std::vector<nn::Matrix> mats;
-  mats.reserve(states.size());
-  for (const Tensor& t : states) mats.push_back(t.value());
-  return mats;
+LayeredSweeps::LayeredSweeps(const CircuitGraph& g, const ModelConfig& cfg,
+                             std::vector<const DirectedLayer*> layers)
+    : Sweeps(g), cfg_(cfg), layers_(std::move(layers)), x_lvl_(level_onehot(g)) {}
+
+DirtySeedOptions LayeredSweeps::dirty_options() const {
+  DirtySeedOptions opts;  // layout-tracked: levels/positions drive batches and h0 cells
+  opts.track_reverse = false;
+  for (const DirectedLayer* layer : layers_) opts.track_reverse |= layer->reversed();
+  return opts;
 }
 
-/// One sweep of the cone-limited path. `prev` holds the sweep-entry states
-/// (current values), `memo_next` the memoized post-sweep states in the
-/// snapshot layout. `dirty` is the evolving per-node dirty set: rows whose
-/// value after this sweep may differ from the memo; it only grows.
-std::vector<nn::Matrix> partial_sweep(const DirectedLayer& layer, const CircuitGraph& g,
-                                      const std::vector<nn::Matrix>& prev,
-                                      const std::vector<nn::Matrix>& memo_next,
-                                      const GraphSnapshot& snap,
-                                      const std::vector<int>& old_of_new,
-                                      std::vector<std::uint8_t>& dirty) {
-  // Entry values carry through levels whose batch is empty; processed levels
-  // are overwritten below, in sweep order, so source gathers always see the
-  // sweep's current values.
-  std::vector<nn::Matrix> cur = prev;
+std::vector<Tensor> LayeredSweeps::initial() {
+  return init_level_states(g_, cfg_.dim, cfg_.random_h0, cfg_.seed);
+}
 
-  const auto process_level = [&](int L) {
+void LayeredSweeps::full(std::size_t s, std::vector<Tensor>& states) {
+  const DirectedLayer& layer = *layers_[s];
+  DirectedLayer::Scratch& scratch = scratch_[&layer];
+  layer.for_each_level(g_, [&](int L) { layer.step(g_, L, states, x_lvl_, nullptr, &scratch); });
+}
+
+void LayeredSweeps::partial(std::size_t s, std::vector<Tensor>& states,
+                            const std::vector<Tensor>& memo_next, const GraphSnapshot& snap,
+                            const std::vector<int>& old_of_new,
+                            std::vector<std::uint8_t>& dirty) {
+  const DirectedLayer& layer = *layers_[s];
+  DirectedLayer::Scratch& scratch = scratch_[&layer];
+  // Levels whose batch is empty keep their entry states (and dirtiness);
+  // processed levels are replaced in sweep order, so source gathers always
+  // see the sweep's current values.
+  layer.for_each_level(g_, [&](int L) {
     const std::size_t lvl = static_cast<std::size_t>(L);
-    const LevelBatch& batch = layer.batch_at(g, L);
-    if (batch.empty()) return;  // cur[L] keeps entry values; dirtiness carries
-    const auto& nodes = g.nodes_at_level[lvl];
+    const LevelBatch& batch = layer.batch_at(g_, L);
+    if (batch.empty()) return;
+    const auto& nodes = g_.nodes_at_level[lvl];
     const int num_dst = static_cast<int>(nodes.size());
-    const int dim = prev[lvl].cols();
 
     std::vector<std::uint8_t> row_dirty(static_cast<std::size_t>(num_dst), 0);
     for (int r = 0; r < num_dst; ++r)
-      if (dirty[static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)])] != 0)
-        row_dirty[static_cast<std::size_t>(r)] = 1;
+      row_dirty[static_cast<std::size_t>(r)] =
+          dirty[static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)])];
     int e = 0;
     for (const auto& group : batch.groups)
       for (const int pos : group.pos) {
-        const int src_node = g.nodes_at_level[static_cast<std::size_t>(group.level)]
-                                             [static_cast<std::size_t>(pos)];
+        const int src_node = g_.nodes_at_level[static_cast<std::size_t>(group.level)]
+                                              [static_cast<std::size_t>(pos)];
         if (dirty[static_cast<std::size_t>(src_node)] != 0)
           row_dirty[static_cast<std::size_t>(batch.seg[static_cast<std::size_t>(e)])] = 1;
         ++e;
       }
 
+    // Dirty rows keep their entry value for the step to read; clean rows
+    // take their post-sweep value from the memo, located by node identity
+    // in the snapshot layout.
+    const nn::Matrix& entry = states[lvl].value();
+    nn::Matrix mixed(num_dst, entry.cols());
     std::vector<int> rows;
-    nn::Matrix out(num_dst, dim);
     for (int r = 0; r < num_dst; ++r) {
+      const auto v = static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)]);
+      const float* src = nullptr;
       if (row_dirty[static_cast<std::size_t>(r)] != 0) {
         rows.push_back(r);
-        continue;
+        dirty[v] = 1;
+        src = entry.row_ptr(r);
+      } else {
+        const auto o = static_cast<std::size_t>(old_of_new[v]);
+        src = memo_next[static_cast<std::size_t>(snap.level[o])].value().row_ptr(snap.pos[o]);
       }
-      // Clean row: its post-sweep value is the memo's, located by node
-      // identity in the snapshot layout (for a clean node that is the same
-      // (level, pos) cell, but the identity lookup stays correct even so).
-      const int v = nodes[static_cast<std::size_t>(r)];
-      const int o = old_of_new[static_cast<std::size_t>(v)];
-      assert(o >= 0);
-      const float* src = memo_next[static_cast<std::size_t>(snap.level[static_cast<std::size_t>(o)])]
-                             .row_ptr(snap.pos[static_cast<std::size_t>(o)]);
-      std::copy(src, src + dim, out.row_ptr(r));
+      std::copy(src, src + entry.cols(), mixed.row_ptr(r));
     }
-    if (!rows.empty()) layer.run_level_rows(g, L, rows, cur, prev[lvl], out);
-    for (const int r : rows)
-      dirty[static_cast<std::size_t>(nodes[static_cast<std::size_t>(r)])] = 1;
-    cur[lvl] = std::move(out);
-  };
-
-  if (!layer.reversed()) {
-    for (int L = 1; L < g.num_levels; ++L) process_level(L);
-  } else {
-    for (int L = g.num_levels - 2; L >= 0; --L) process_level(L);
-  }
-  return cur;
+    states[lvl] = nn::constant(std::move(mixed));
+    layer.step(g_, L, states, x_lvl_, &rows, &scratch);
+  });
 }
 
-/// Stitch per-level matrices into node order (the Matrix twin of
-/// full_from_levels, bitwise: both are plain row copies).
-nn::Matrix stitch_levels(const std::vector<nn::Matrix>& states, const CircuitGraph& g, int dim) {
-  nn::Matrix full(g.num_nodes, dim);
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const float* src = states[static_cast<std::size_t>(g.level[vi])].row_ptr(g.node_pos[vi]);
-    std::copy(src, src + dim, full.row_ptr(v));
-  }
-  return full;
+Tensor LayeredSweeps::embedding(const std::vector<Tensor>& states) const {
+  return full_from_levels(states, g_);
 }
 
-void refresh_memo_outputs(LevelMemo& memo, const CircuitGraph& g, const nn::Matrix& pred,
-                          const nn::Matrix& emb) {
-  GraphSnapshot snap;
-  snap.capture(g);
-  memo.snap = std::move(snap);
-  memo.prediction = pred;
-  memo.embedding = emb;
-  memo.valid = true;
-}
-
-ForwardOutputs run_full_capture(const CircuitGraph& g,
-                                const std::vector<const DirectedLayer*>& sweeps,
-                                const Regressor& regressor, const ModelConfig& cfg,
-                                LevelMemo* memo, IncrementalRunStats* stats) {
+Tensor run_sweeps(Sweeps& sweeps, std::vector<std::vector<Tensor>>* checkpoints) {
   count_full_forward();
-  if (stats != nullptr) *stats = {};
-
-  const bool capture = memo != nullptr;
-  const double est_mb = static_cast<double>(sweeps.size() + 1) *
-                        static_cast<double>(g.num_nodes) * static_cast<double>(cfg.dim) *
-                        4.0 / (1024.0 * 1024.0);
-  const bool store_checkpoints = capture && est_mb <= incremental_memo_cap_mb();
-
-  std::vector<Tensor> states = init_level_states(g, cfg.dim, cfg.random_h0, cfg.seed);
-  const std::vector<Tensor> x_lvl = level_onehot(g);
-
-  std::vector<std::vector<nn::Matrix>> checkpoints;
-  const auto snapshot_states = [&]() {
-    std::vector<nn::Matrix> mats;
-    mats.reserve(states.size());
-    for (const Tensor& t : states) mats.push_back(t.value());
-    checkpoints.push_back(std::move(mats));
-  };
-  if (store_checkpoints) snapshot_states();
-
-  std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
-  for (const DirectedLayer* layer : sweeps) {
-    const std::vector<Tensor> queries = states;
-    layer->run(g, states, queries, x_lvl, &scratch[layer]);
-    if (store_checkpoints) snapshot_states();
+  std::vector<Tensor> states = sweeps.initial();
+  if (checkpoints != nullptr) checkpoints->push_back(states);
+  for (std::size_t s = 0; s < sweeps.count(); ++s) {
+    sweeps.full(s, states);
+    if (checkpoints != nullptr) checkpoints->push_back(states);
   }
-
-  const Tensor h = full_from_levels(states, g);
-  const Tensor pred = regressor.forward(h, g);
-
-  if (capture) {
-    memo->checkpoints = std::move(checkpoints);
-    memo->has_checkpoints = store_checkpoints;
-    refresh_memo_outputs(*memo, g, pred.value(), h.value());
-  }
-  return {pred, h};
+  return sweeps.embedding(states);
 }
 
-}  // namespace
-
-ForwardOutputs run_layered_incremental(const CircuitGraph& g,
-                                       const std::vector<const DirectedLayer*>& sweeps,
-                                       const Regressor& regressor, const ModelConfig& cfg,
-                                       IncrementalState* state,
-                                       const std::vector<int>& old_of_new,
-                                       IncrementalRunStats* stats) {
+ForwardOutputs run_incremental(Sweeps& sweeps, const Regressor& regressor, int dim,
+                               IncrementalState* state, const std::vector<int>& old_of_new,
+                               IncrementalRunStats* stats) {
+  const CircuitGraph& g = sweeps.graph();
   if (nn::grad_enabled())
-    throw std::logic_error("run_layered_incremental: requires nn::NoGradGuard");
+    throw std::logic_error("forward_incremental: requires nn::NoGradGuard");
   if (g.is_batch())
-    throw std::invalid_argument("run_layered_incremental: merged batch graphs not supported");
+    throw std::invalid_argument("forward_incremental: merged batch graphs not supported");
+  IncrementalRunStats local;
+  IncrementalRunStats& st = stats != nullptr ? *stats : local;
+  st = {};
 
-  auto* layered = dynamic_cast<LayeredIncrementalState*>(state);
-  if (layered == nullptr || !incremental_memo_enabled()) {
-    // The caller resets its identity map after every query, so a memo left
-    // behind by an earlier enabled run must not survive a disabled one.
-    if (layered != nullptr) layered->memo = {};
-    return run_full_capture(g, sweeps, regressor, cfg, nullptr, stats);
+  auto* memo_state = dynamic_cast<MemoState*>(state);
+  if (memo_state == nullptr) {
+    const Tensor h = run_sweeps(sweeps);
+    return {regressor.forward(h, g), h};
   }
-  LevelMemo& memo = layered->memo;
+  LevelMemo& memo = memo_state->memo;
 
   // Unchanged generation: replay the cached outputs — zero propagation.
   if (memo.valid && memo.snap.generation == g.generation &&
       memo.snap.num_nodes == g.num_nodes) {
-    if (stats != nullptr) {
-      *stats = {};
-      stats->memo_hit = true;
-    }
     static obs::Counter& memo_hits = obs::counter("gnn.memo.hits");
     memo_hits.add();
+    st.memo_hit = true;
     return {nn::constant(memo.prediction), nn::constant(memo.embedding)};
   }
-  // Memo enabled but the generation moved on: some propagation is required.
   static obs::Counter& memo_misses = obs::counter("gnn.memo.misses");
   memo_misses.add();
 
-  const bool can_partial = memo.valid && memo.has_checkpoints &&
-                           memo.checkpoints.size() == sweeps.size() + 1 &&
-                           old_of_new.size() == static_cast<std::size_t>(g.num_nodes) &&
-                           g.num_nodes > 0;
-  if (!can_partial) return run_full_capture(g, sweeps, regressor, cfg, &memo, stats);
+  const double est_mb = static_cast<double>(sweeps.count() + 1) *
+                        static_cast<double>(g.num_nodes) * static_cast<double>(dim) * 4.0 /
+                        (1024.0 * 1024.0);
+  const bool fits = est_mb <= incremental_memo_cap_mb();
+  const bool partial = fits && memo.valid && memo.has_checkpoints &&
+                       memo.checkpoints.size() == sweeps.count() + 1 &&
+                       old_of_new.size() == static_cast<std::size_t>(g.num_nodes) &&
+                       g.num_nodes > 0;
 
-  const double est_mb = static_cast<double>(sweeps.size() + 1) *
-                        static_cast<double>(g.num_nodes) * static_cast<double>(cfg.dim) *
-                        4.0 / (1024.0 * 1024.0);
-  if (est_mb > incremental_memo_cap_mb()) {
-    memo.checkpoints.clear();
-    memo.has_checkpoints = false;
-    return run_full_capture(g, sweeps, regressor, cfg, &memo, stats);
-  }
-
-  count_partial_forward();
-
-  DirtySeedOptions opts;
-  opts.track_layout = true;
-  bool any_reverse = false;
-  for (const DirectedLayer* layer : sweeps) any_reverse |= layer->reversed();
-  opts.track_reverse = any_reverse;
-  std::vector<std::uint8_t> dirty = dirty_seeds(g, memo.snap, old_of_new, opts);
-
-  // checkpoint 0 regenerated in the current layout; clean rows match the
-  // memo bitwise by h0's per-(level, row) construction.
-  std::vector<std::vector<nn::Matrix>> all_states;
-  all_states.reserve(sweeps.size() + 1);
-  all_states.push_back(h0_levels(g, cfg, cfg.random_h0));
-  for (std::size_t s = 0; s < sweeps.size(); ++s)
-    all_states.push_back(partial_sweep(*sweeps[s], g, all_states[s],
-                                       memo.checkpoints[s + 1], memo.snap, old_of_new, dirty));
-
-  const int dim = cfg.dim;
-  nn::Matrix emb = stitch_levels(all_states.back(), g, dim);
-
-  // Prediction: remap clean rows from the memo, recompute the dirty ones.
-  nn::Matrix pred(g.num_nodes, 1);
-  std::vector<int> dirty_nodes;
-  for (int v = 0; v < g.num_nodes; ++v) {
-    if (dirty[static_cast<std::size_t>(v)] != 0) {
-      dirty_nodes.push_back(v);
-      continue;
+  std::vector<std::vector<Tensor>> checkpoints;
+  Tensor h;
+  Tensor pred;
+  if (!partial) {
+    h = run_sweeps(sweeps, fits ? &checkpoints : nullptr);
+    pred = regressor.forward(h, g);
+  } else {
+    count_partial_forward();
+    std::vector<std::uint8_t> dirty =
+        dirty_seeds(g, memo.snap, old_of_new, sweeps.dirty_options());
+    checkpoints.reserve(sweeps.count() + 1);
+    checkpoints.push_back(sweeps.initial());
+    for (std::size_t s = 0; s < sweeps.count(); ++s) {
+      std::vector<Tensor> states = checkpoints.back();
+      sweeps.partial(s, states, memo.checkpoints[s + 1], memo.snap, old_of_new, dirty);
+      checkpoints.push_back(std::move(states));
     }
-    const int o = old_of_new[static_cast<std::size_t>(v)];
-    pred.at(v, 0) = memo.prediction.at(o, 0);
-  }
-  regressor.forward_rows(emb, g, dirty_nodes, pred);
+    h = sweeps.embedding(checkpoints.back());
 
-  if (stats != nullptr) {
-    *stats = {};
-    stats->partial = true;
-    stats->dirty_nodes = static_cast<int>(dirty_nodes.size());
+    // Prediction: remap clean rows from the memo, recompute the dirty ones.
+    nn::Matrix p(g.num_nodes, 1);
+    std::vector<int> dirty_nodes;
+    for (int v = 0; v < g.num_nodes; ++v) {
+      if (dirty[static_cast<std::size_t>(v)] != 0) {
+        dirty_nodes.push_back(v);
+        continue;
+      }
+      p.at(v, 0) = memo.prediction.at(old_of_new[static_cast<std::size_t>(v)], 0);
+    }
+    regressor.forward_rows(h.value(), g, dirty_nodes, p);
+    pred = nn::constant(std::move(p));
+    st.partial = true;
+    st.dirty_nodes = static_cast<int>(dirty_nodes.size());
   }
 
-  memo.checkpoints = std::move(all_states);
-  memo.has_checkpoints = true;
-  refresh_memo_outputs(memo, g, pred, emb);
-  return {nn::constant(std::move(pred)), nn::constant(std::move(emb))};
+  memo.checkpoints = std::move(checkpoints);
+  memo.has_checkpoints = fits;
+  memo.snap.capture(g);
+  memo.prediction = pred.value();
+  memo.embedding = h.value();
+  memo.valid = true;
+  return {pred, h};
 }
 
 }  // namespace dg::gnn

@@ -1,43 +1,41 @@
-// Cone-limited incremental inference on mutating circuits.
+// Sweep sequences and cone-limited incremental inference on mutating
+// circuits.
 //
-// The level-by-level propagation every DAG family runs means an edit's
-// influence on the forward state is confined to the fan-out cone of the
-// touched nodes. This module memoizes the per-level states after every sweep
-// of a query, keyed by CircuitGraph::generation, and re-propagates only the
-// rows whose inputs changed on the next query; every other row is copied
-// bitwise out of the memo. The machinery is shared by all DirectedLayer
-// families (DeepGate, DAG-RecGNN, DAG-ConvGNN, custom); the GCN family keeps
-// its own whole-graph variant in gcn.cpp on top of the same snapshot/seed
-// helpers.
+// Every model family's propagation is a fixed sequence of sweeps over a
+// checkpoint: the per-level state tensors of a DirectedLayer family, or one
+// whole-graph "level" for GCN. A family describes its sequence as a Sweeps
+// object; run_sweeps() is the one loop every full forward runs, and
+// run_incremental() is the one memo driver behind every forward_incremental.
+//
+// The level-by-level propagation means an edit's influence on the forward
+// state is confined to the fan-out cone of the touched nodes. The driver
+// memoizes the checkpoints after every sweep of a query, keyed by
+// CircuitGraph::generation, and on the next query each sweep re-propagates
+// only the rows whose inputs changed; every other row is copied bitwise out
+// of the memo.
 //
 // Identity across edits is positional: node v of the current graph
 // corresponds to node old_of_new[v] of the memoized generation (-1 = new
 // node). core::IncrementalSession maintains that map across its delta ops.
 //
-// Knobs: DEEPGATE_INCREMENTAL_MEMO=off disables memoization entirely (every
-// query is a full forward); DEEPGATE_INCREMENTAL_MEMO_MB caps the estimated
-// checkpoint footprint per session (default 512 MiB) — an over-cap graph
-// falls back to full forwards but still caches the outputs, so an unchanged
-// re-query (the embed-then-predict sequence) never pays a second
-// propagation.
+// Knob: DEEPGATE_INCREMENTAL_MEMO_MB caps the estimated checkpoint footprint
+// per session (default 512 MiB). An over-cap graph falls back to full
+// forwards but still caches the outputs, so an unchanged re-query (the
+// embed-then-predict sequence) never pays a second propagation.
 //
 // Thread affinity (why LevelMemo carries no util::Mutex): a LevelMemo is
 // owned by one core::IncrementalSession, and a session serves one client's
 // edit stream from one thread at a time — the same contract as ShardStream.
-// The only process-wide state here is the memo on/off override, which is a
-// relaxed atomic. Cross-session sharing would need a lock AND a story for
-// generation counters; it is deliberately out of contract.
+// There is no process-wide state here. Cross-session sharing would need a
+// lock AND a story for generation counters; it is deliberately out of
+// contract.
 #pragma once
 
 #include "gnn/model_common.hpp"
 
-namespace dg::gnn {
+#include <map>
 
-/// Memoization switch: DEEPGATE_INCREMENTAL_MEMO (default on), overridable
-/// programmatically for tests and benches.
-bool incremental_memo_enabled();
-void incremental_memo_set_enabled(bool on);
-void incremental_memo_clear_override();
+namespace dg::gnn {
 
 /// DEEPGATE_INCREMENTAL_MEMO_MB (default 512).
 double incremental_memo_cap_mb();
@@ -70,43 +68,100 @@ struct DirtySeedOptions {
   bool track_reverse = true;
 };
 
-/// Per-node dirty seeds: nodes whose h0 or per-level update inputs differ
-/// from the memoized generation. Conservative in the safe direction only.
-std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot& snap,
-                                      const std::vector<int>& old_of_new,
-                                      const DirtySeedOptions& opts);
-
-/// Memoized per-level states of one query: checkpoints[0] is h0,
-/// checkpoints[s + 1] the per-level states after sweep s, all in the
-/// snapshot generation's layout. `has_checkpoints` is false when the
-/// estimated footprint exceeded the memo cap — outputs are still cached so
-/// unchanged re-queries stay free.
+/// Memoized checkpoints of one query: checkpoints[0] is h0,
+/// checkpoints[s + 1] the states after sweep s, all in the snapshot
+/// generation's layout. `has_checkpoints` is false when the estimated
+/// footprint exceeded the memo cap — outputs are still cached so unchanged
+/// re-queries stay free.
 struct LevelMemo {
   bool valid = false;
   bool has_checkpoints = false;
   GraphSnapshot snap;
-  std::vector<std::vector<nn::Matrix>> checkpoints;
+  std::vector<std::vector<nn::Tensor>> checkpoints;
   nn::Matrix prediction;  ///< N x 1
   nn::Matrix embedding;   ///< N x d
 };
 
-/// The IncrementalState of every DirectedLayer family.
-class LayeredIncrementalState final : public IncrementalState {
+/// The IncrementalState of every model family.
+class MemoState final : public IncrementalState {
  public:
   LevelMemo memo;
 };
 
-/// Shared forward_incremental implementation for models whose propagation is
-/// a sequence of DirectedLayer sweeps over per-level states. `sweeps` lists
-/// the layers in execution order (e.g. [fwd, rev] x T for the recurrent
-/// models, the stacked layers for DAG-ConvGNN). Must run under
-/// nn::NoGradGuard; outputs are bitwise identical to the model's
-/// forward_outputs(g).
-ForwardOutputs run_layered_incremental(const CircuitGraph& g,
-                                       const std::vector<const DirectedLayer*>& sweeps,
-                                       const Regressor& regressor, const ModelConfig& cfg,
-                                       IncrementalState* state,
-                                       const std::vector<int>& old_of_new,
-                                       IncrementalRunStats* stats);
+/// One family's propagation over one graph: h0, then count() sweeps. Built
+/// per forward call, so implementations may cache per-graph constants.
+/// Sweeps never write a state tensor in place; they replace it, so
+/// checkpoints may share tensors with later states.
+class Sweeps {
+ public:
+  explicit Sweeps(const CircuitGraph& g) : g_(g) {}
+  virtual ~Sweeps() = default;
+
+  const CircuitGraph& graph() const { return g_; }
+  virtual std::size_t count() const = 0;
+  /// Which structural differences seed the dirty set.
+  virtual DirtySeedOptions dirty_options() const = 0;
+
+  /// Checkpoint 0 (h0). Clean rows of a fresh h0 equal the memoized ones
+  /// bitwise: h0 is a per-node function of the cell and the gate type.
+  virtual std::vector<nn::Tensor> initial() = 0;
+  /// Sweep s over every row.
+  virtual void full(std::size_t s, std::vector<nn::Tensor>& states) = 0;
+  /// Sweep s over the rows that may differ from the memo. `states` holds
+  /// the sweep-entry states and leaves with the post-sweep ones; clean rows
+  /// are stitched from `memo_next` (the memoized post-sweep states, in
+  /// `snap`'s layout). `dirty` marks nodes whose value may differ from the
+  /// memo; a sweep only ever adds to it.
+  virtual void partial(std::size_t s, std::vector<nn::Tensor>& states,
+                       const std::vector<nn::Tensor>& memo_next, const GraphSnapshot& snap,
+                       const std::vector<int>& old_of_new, std::vector<std::uint8_t>& dirty) = 0;
+  /// Final N x d node-order embedding.
+  virtual nn::Tensor embedding(const std::vector<nn::Tensor>& states) const = 0;
+
+ protected:
+  const CircuitGraph& g_;
+};
+
+/// The sweep sequence of every DirectedLayer family: per-level states, one
+/// DirectedLayer per sweep ([fwd, rev] x T for the recurrent models, the
+/// stacked layers for DAG-ConvGNN).
+class LayeredSweeps final : public Sweeps {
+ public:
+  LayeredSweeps(const CircuitGraph& g, const ModelConfig& cfg,
+                std::vector<const DirectedLayer*> layers);
+
+  std::size_t count() const override { return layers_.size(); }
+  DirtySeedOptions dirty_options() const override;
+  std::vector<nn::Tensor> initial() override;
+  void full(std::size_t s, std::vector<nn::Tensor>& states) override;
+  void partial(std::size_t s, std::vector<nn::Tensor>& states,
+               const std::vector<nn::Tensor>& memo_next, const GraphSnapshot& snap,
+               const std::vector<int>& old_of_new, std::vector<std::uint8_t>& dirty) override;
+  nn::Tensor embedding(const std::vector<nn::Tensor>& states) const override;
+
+ private:
+  const ModelConfig& cfg_;
+  std::vector<const DirectedLayer*> layers_;
+  std::vector<nn::Tensor> x_lvl_;
+  // Per-layer constants shared by the T sweeps of a recurrent model.
+  std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch_;
+};
+
+/// The one sweep loop: h0, then every sweep over every row; returns the
+/// final embedding. `checkpoints`, when given, receives h0 and the states
+/// after every sweep.
+nn::Tensor run_sweeps(Sweeps& sweeps,
+                      std::vector<std::vector<nn::Tensor>>* checkpoints = nullptr);
+
+/// The one memo driver behind every family's forward_incremental: replays
+/// an unchanged generation, otherwise runs each sweep partially against the
+/// memo (or fully when there is no usable memo or it would exceed the cap),
+/// recomputes predictions of dirty rows only, and refreshes the memo.
+/// `state` comes from make_incremental_state (anything else: plain full
+/// forward). Must run under nn::NoGradGuard; outputs are bitwise identical
+/// to the model's forward_outputs(g).
+ForwardOutputs run_incremental(Sweeps& sweeps, const Regressor& regressor, int dim,
+                               IncrementalState* state, const std::vector<int>& old_of_new,
+                               IncrementalRunStats* stats);
 
 }  // namespace dg::gnn

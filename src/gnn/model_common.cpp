@@ -222,6 +222,15 @@ std::vector<nn::Matrix> batched_random_level_rows(const CircuitGraph& g, int dim
   return mats;
 }
 
+/// Concat gathers from per-level states into the edge-ordered source batch.
+Tensor gather_batch_sources(const std::vector<Tensor>& states, const LevelBatch& batch) {
+  std::vector<Tensor> parts;
+  parts.reserve(batch.groups.size());
+  for (const auto& group : batch.groups)
+    parts.push_back(nn::gather_rows(states[static_cast<std::size_t>(group.level)], group.pos));
+  return parts.size() == 1 ? parts[0] : nn::concat_rows(parts);
+}
+
 }  // namespace
 
 std::vector<Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
@@ -281,14 +290,6 @@ Tensor full_from_levels(const std::vector<Tensor>& states, const CircuitGraph& g
   }());
 }
 
-Tensor gather_batch_sources(const std::vector<Tensor>& states, const LevelBatch& batch) {
-  std::vector<Tensor> parts;
-  parts.reserve(batch.groups.size());
-  for (const auto& group : batch.groups)
-    parts.push_back(nn::gather_rows(states[static_cast<std::size_t>(group.level)], group.pos));
-  return parts.size() == 1 ? parts[0] : nn::concat_rows(parts);
-}
-
 DirectedLayer::DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& rng)
     : reversed_(reversed),
       use_skip_(cfg.use_skip && !reversed),
@@ -296,149 +297,108 @@ DirectedLayer::DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& r
       agg_(make_aggregator(cfg.agg, cfg.dim, 2 * cfg.pe_L, rng)),
       gru_(refeed_ ? cfg.dim + cfg.num_types : cfg.dim, cfg.dim, rng) {}
 
-void DirectedLayer::run(const CircuitGraph& g, std::vector<Tensor>& states,
-                        const std::vector<Tensor>& queries,
-                        const std::vector<Tensor>& x_lvl, Scratch* scratch) const {
+void DirectedLayer::step(const CircuitGraph& g, int L, std::vector<Tensor>& states,
+                         const std::vector<Tensor>& x_lvl, const std::vector<int>* rows,
+                         Scratch* scratch) const {
+  const LevelBatch& batch = batch_at(g, L);
+  if (batch.empty()) return;
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
+  // A merged batch whose members skip this level when alone: step only the
+  // rows of members that do update here.
+  std::vector<int> member_rows;
+  if (rows == nullptr && batch.masked()) {
+    for (int r = 0; r < num_dst; ++r)
+      if (batch.update_rows[static_cast<std::size_t>(r)] != 0) member_rows.push_back(r);
+    if (static_cast<int>(member_rows.size()) < num_dst) rows = &member_rows;
+  }
+  if (rows != nullptr && rows->empty()) return;
+
   const bool memo = scratch != nullptr && !nn::grad_enabled();
   if (memo && scratch->pe_term.size() != static_cast<std::size_t>(g.num_levels)) {
     scratch->pe_term.assign(static_cast<std::size_t>(g.num_levels), Tensor());
     scratch->pe_valid.assign(static_cast<std::size_t>(g.num_levels), 0);
     scratch->inv_deg.assign(static_cast<std::size_t>(g.num_levels), Tensor());
   }
-  const auto process_level = [&](int L) {
-    const LevelBatch& batch = batch_at(g, L);
-    if (batch.empty()) return;
-    const std::size_t lvl = static_cast<std::size_t>(L);
-    const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-    const Tensor h_src = gather_batch_sources(states, batch);
-    Tensor pe_term;
-    if (memo && scratch->pe_valid[lvl] != 0) {
-      pe_term = scratch->pe_term[lvl];
-    } else if (batch.pe.rows() > 0) {
-      pe_term = agg_->project_pe(nn::constant(batch.pe));
-      if (memo) {
-        scratch->pe_term[lvl] = pe_term;
-        scratch->pe_valid[lvl] = 1;
-      }
-    } else if (memo) {
-      scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
+  Tensor pe_term;
+  if (memo && scratch->pe_valid[lvl] != 0) {
+    pe_term = scratch->pe_term[lvl];
+  } else if (batch.pe.rows() > 0) {
+    pe_term = agg_->project_pe(nn::constant(batch.pe));
+    if (memo) {
+      scratch->pe_term[lvl] = pe_term;
+      scratch->pe_valid[lvl] = 1;
     }
-    Tensor inv_deg;
-    if (memo && scratch->inv_deg[lvl].defined()) {
-      inv_deg = scratch->inv_deg[lvl];
-    } else {
-      inv_deg = nn::constant(
-          nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
-      if (memo) scratch->inv_deg[lvl] = inv_deg;
-    }
-    const Tensor m = agg_->forward(h_src, queries[static_cast<std::size_t>(L)], batch.seg,
-                                   num_dst, inv_deg, pe_term);
-    const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[static_cast<std::size_t>(L)]) : m;
-    const Tensor updated = gru_.forward(input, states[static_cast<std::size_t>(L)]);
-    if (!batch.masked()) {
-      states[static_cast<std::size_t>(L)] = updated;
-      return;
-    }
-    // Batched graph with members that skip this level when alone: keep their
-    // rows' previous states via an exact row select (bitwise, no blending).
-    std::vector<int> pick(static_cast<std::size_t>(num_dst));
-    for (int r = 0; r < num_dst; ++r)
-      pick[static_cast<std::size_t>(r)] =
-          batch.update_rows[static_cast<std::size_t>(r)] != 0 ? r : num_dst + r;
-    states[static_cast<std::size_t>(L)] = nn::gather_rows(
-        nn::concat_rows({updated, states[static_cast<std::size_t>(L)]}), std::move(pick));
-  };
-
-  if (!reversed_) {
-    for (int L = 1; L < g.num_levels; ++L) process_level(L);
-  } else {
-    for (int L = g.num_levels - 2; L >= 0; --L) process_level(L);
+  } else if (memo) {
+    scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
   }
-}
+  Tensor inv_deg;
+  if (memo && scratch->inv_deg[lvl].defined()) {
+    inv_deg = scratch->inv_deg[lvl];
+  } else {
+    inv_deg = nn::constant(
+        nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
+    if (memo) scratch->inv_deg[lvl] = inv_deg;
+  }
 
-void DirectedLayer::run_level_rows(const CircuitGraph& g, int L, const std::vector<int>& rows,
-                                   const std::vector<nn::Matrix>& cur, const nn::Matrix& entry_L,
-                                   nn::Matrix& out_L) const {
-  assert(!nn::grad_enabled());
-  const std::size_t lvl = static_cast<std::size_t>(L);
-  const LevelBatch& batch = batch_at(g, L);
-  assert(!batch.empty());
-  assert(!batch.masked());
-  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-  const int dim = entry_L.cols();
-  const int nsel = static_cast<int>(rows.size());
-  if (nsel == 0) return;
+  if (rows == nullptr) {
+    const Tensor m = agg_->forward(gather_batch_sources(states, batch), states[lvl], batch.seg,
+                                   num_dst, inv_deg, pe_term);
+    const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[lvl]) : m;
+    states[lvl] = gru_.forward(input, states[lvl]);
+    return;
+  }
 
-  // Rank of each selected destination row (its seg id in the sub-batch).
+  // Row subset: keep the edges feeding selected destinations, in stored
+  // order, so every selected row sees its complete message segment.
+  const int nsel = static_cast<int>(rows->size());
   std::vector<int> rank(static_cast<std::size_t>(num_dst), -1);
-  for (int i = 0; i < nsel; ++i) rank[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])] = i;
-
-  // Select the edges feeding selected destinations, flattening the groups'
-  // (src level, src pos) coordinates. Walking edges in stored order keeps
-  // every destination's full message segment in the batch's order — the
-  // property that makes per-segment aggregation bitwise equal to run().
-  std::vector<int> seg_sub;
-  std::vector<int> src_level;
-  std::vector<int> src_pos;
-  std::vector<int> edge_idx;  // original edge index, for pe row gathers
+  for (int i = 0; i < nsel; ++i)
+    rank[static_cast<std::size_t>((*rows)[static_cast<std::size_t>(i)])] = i;
+  std::vector<int> seg;
+  std::vector<int> edges;
+  std::vector<Tensor> parts;
   int e = 0;
-  for (const auto& group : batch.groups)
-    for (const int pos : group.pos) {
-      const int s = batch.seg[static_cast<std::size_t>(e)];
-      if (rank[static_cast<std::size_t>(s)] >= 0) {
-        seg_sub.push_back(rank[static_cast<std::size_t>(s)]);
-        src_level.push_back(group.level);
-        src_pos.push_back(pos);
-        edge_idx.push_back(e);
+  for (const auto& group : batch.groups) {
+    std::vector<int> pos;
+    for (const int p : group.pos) {
+      const int r = rank[static_cast<std::size_t>(batch.seg[static_cast<std::size_t>(e)])];
+      if (r >= 0) {
+        pos.push_back(p);
+        seg.push_back(r);
+        edges.push_back(e);
       }
       ++e;
     }
-
-  const int nsub = static_cast<int>(seg_sub.size());
-  nn::Matrix h_src(nsub, dim);
-  for (int i = 0; i < nsub; ++i) {
-    const float* src = cur[static_cast<std::size_t>(src_level[static_cast<std::size_t>(i)])]
-                           .row_ptr(src_pos[static_cast<std::size_t>(i)]);
-    std::copy(src, src + dim, h_src.row_ptr(i));
+    if (!pos.empty())
+      parts.push_back(nn::gather_rows(states[static_cast<std::size_t>(group.level)], pos));
   }
-  Tensor pe_term;
-  if (batch.pe.rows() > 0) {
-    nn::Matrix pe(nsub, batch.pe.cols());
-    for (int i = 0; i < nsub; ++i) {
-      const float* src = batch.pe.row_ptr(edge_idx[static_cast<std::size_t>(i)]);
-      std::copy(src, src + batch.pe.cols(), pe.row_ptr(i));
-    }
-    pe_term = agg_->project_pe(nn::constant(std::move(pe)));
-  }
-  nn::Matrix inv(nsel, 1);
-  for (int i = 0; i < nsel; ++i)
-    inv.at(i, 0) = batch.inv_deg[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-  nn::Matrix entry_rows(nsel, dim);
-  for (int i = 0; i < nsel; ++i) {
-    const float* src = entry_L.row_ptr(rows[static_cast<std::size_t>(i)]);
-    std::copy(src, src + dim, entry_rows.row_ptr(i));
-  }
-  // run() reads the same entry values twice — as the attention query and as
-  // the GRU hidden — so one constant serves both roles here.
-  const Tensor entry = nn::constant(std::move(entry_rows));
-
-  const Tensor m =
-      agg_->forward(nn::constant(std::move(h_src)), entry, seg_sub, nsel,
-                    nn::constant(std::move(inv)), pe_term);
-  Tensor input = m;
-  if (refeed_) {
-    nn::Matrix x(nsel, g.num_types);
-    for (int i = 0; i < nsel; ++i) {
-      const int v = g.nodes_at_level[lvl][static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-      x.at(i, g.type_id[static_cast<std::size_t>(v)]) = 1.0F;
-    }
-    input = nn::concat_cols(m, nn::constant(std::move(x)));
-  }
+  const Tensor h_src = parts.empty()      ? nn::constant(nn::Matrix(0, states[lvl].cols()))
+                       : parts.size() == 1 ? parts[0]
+                                           : nn::concat_rows(parts);
+  if (pe_term.defined()) pe_term = nn::gather_rows(pe_term, edges);
+  const Tensor entry = nn::gather_rows(states[lvl], *rows);
+  const Tensor m = agg_->forward(h_src, entry, seg, nsel, nn::gather_rows(inv_deg, *rows), pe_term);
+  const Tensor input = refeed_ ? nn::concat_cols(m, nn::gather_rows(x_lvl[lvl], *rows)) : m;
   const Tensor updated = gru_.forward(input, entry);
+
+  // Unselected rows keep their value: an exact row select (no blending).
+  if (nn::grad_enabled()) {
+    std::vector<int> pick(static_cast<std::size_t>(num_dst));
+    for (int r = 0; r < num_dst; ++r) {
+      const int k = rank[static_cast<std::size_t>(r)];
+      pick[static_cast<std::size_t>(r)] = k >= 0 ? k : nsel + r;
+    }
+    states[lvl] = nn::gather_rows(nn::concat_rows({updated, states[lvl]}), pick);
+    return;
+  }
+  nn::Matrix next = states[lvl].value();  // copy: other holders may share the entry tensor
+  const int dim = next.cols();
   for (int i = 0; i < nsel; ++i) {
     const float* src = updated.value().row_ptr(i);
-    std::copy(src, src + dim, out_L.row_ptr(rows[static_cast<std::size_t>(i)]));
+    std::copy(src, src + dim, next.row_ptr((*rows)[static_cast<std::size_t>(i)]));
   }
+  states[lvl] = nn::constant(std::move(next));
 }
 
 void DirectedLayer::collect(nn::NamedParams& out, const std::string& prefix) const {

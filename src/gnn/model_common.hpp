@@ -201,19 +201,23 @@ nn::Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std
 /// Stitch per-level states back into node order (N x d).
 nn::Tensor full_from_levels(const std::vector<nn::Tensor>& states, const CircuitGraph& g);
 
-/// Concat gathers from per-level states into the edge-ordered source batch.
-nn::Tensor gather_batch_sources(const std::vector<nn::Tensor>& states, const LevelBatch& batch);
-
 /// One directed propagation sweep (a "forward layer" or "reversed layer" of
 /// Fig. 2b): walks levels in topological (or reverse) order, aggregates
 /// predecessor (successor) messages and updates states with a GRU.
+///
+/// Every forward runs through one level step, step(), which updates a chosen
+/// set of level-L rows: all of them in a full forward, the members' own rows
+/// of a masked level in a merged batch, and the dirty rows in an incremental
+/// re-propagation. Per-row results do not depend on which other rows are
+/// selected: each selected destination keeps its complete in-order message
+/// segment, and every kernel involved is row- or segment-local.
 class DirectedLayer {
  public:
   DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& rng);
 
-  /// Per-graph memo reused across repeated run() calls on the SAME graph —
-  /// the recurrent models' T sweeps. Caches level constants that cannot
-  /// change between sweeps: the aggregator's pe projection (the encodings of
+  /// Per-graph memo reused across repeated sweeps of the SAME graph — the
+  /// recurrent models' T sweeps. Caches level constants that cannot change
+  /// between sweeps: the aggregator's pe projection (the encodings of
   /// Eq. (7) are pure graph structure) and the inv_deg constant. Consulted
   /// only on the no-grad path; when gradients are recorded every sweep tapes
   /// its own nodes, keeping training bitwise-untouched.
@@ -223,27 +227,27 @@ class DirectedLayer {
     std::vector<nn::Tensor> inv_deg;      ///< constant per level
   };
 
-  /// `states` is updated level by level; `queries` supplies h^{t-1} for the
-  /// attention aggregator; `x_lvl` supplies the refed gate-type features.
-  /// `scratch`, when given, must be used with one graph only and carries the
-  /// per-level constants across sweeps.
-  void run(const CircuitGraph& g, std::vector<nn::Tensor>& states,
-           const std::vector<nn::Tensor>& queries, const std::vector<nn::Tensor>& x_lvl,
-           Scratch* scratch = nullptr) const;
+  /// Level step: GRU-update rows of level L from messages gathered out of
+  /// `states`, the sweep's current per-level states. Level L's own state
+  /// still holds its sweep-entry value h^{t-1} here, which is both the GRU
+  /// hidden and the attention query of Eq. (5). `x_lvl` supplies the refed
+  /// gate-type features. `rows` lists ascending positions within level L;
+  /// nullptr means every row the batch updates (all of them, or the
+  /// update_rows of a masked merged level). Rows left out keep their value.
+  /// `scratch`, when given, must be used with one graph only.
+  void step(const CircuitGraph& g, int L, std::vector<nn::Tensor>& states,
+            const std::vector<nn::Tensor>& x_lvl, const std::vector<int>* rows,
+            Scratch* scratch) const;
 
-  /// Incremental path: recompute ONLY the given destination rows (ascending
-  /// positions within level L) of this layer's level-L update. Sources are
-  /// gathered from `cur` (the sweep's current per-level states); the GRU
-  /// hidden and attention query rows come from `entry_L` (level L's state at
-  /// sweep entry — run() reads the same values through `queries`/`states`).
-  /// Updated rows are written into `out_L` in place; others are untouched.
-  /// Per-row results are bitwise identical to run(): every selected
-  /// destination keeps its complete in-order message segment, and all
-  /// kernels involved are row- or segment-local. Requires a non-empty,
-  /// unmasked batch at L and an active nn::NoGradGuard.
-  void run_level_rows(const CircuitGraph& g, int L, const std::vector<int>& rows,
-                      const std::vector<nn::Matrix>& cur, const nn::Matrix& entry_L,
-                      nn::Matrix& out_L) const;
+  /// Calls fn(L) for every level this layer updates, in sweep order.
+  template <class Fn>
+  void for_each_level(const CircuitGraph& g, Fn&& fn) const {
+    if (!reversed_) {
+      for (int L = 1; L < g.num_levels; ++L) fn(L);
+    } else {
+      for (int L = g.num_levels - 2; L >= 0; --L) fn(L);
+    }
+  }
 
   bool reversed() const { return reversed_; }
 

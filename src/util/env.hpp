@@ -24,13 +24,13 @@
 //                                             matmul kernels; default off =
 //                                             bitwise-vs-scalar contract —
 //                                             nn/simd/dispatch.hpp)
-//   DEEPGATE_INCREMENTAL_MEMO = on | off     (per-generation level-state memo
-//                                             behind IncrementalSession,
-//                                             default on — gnn/incremental.hpp)
-//   DEEPGATE_INCREMENTAL_MEMO_MB = <double>  (memo capacity per session in
-//                                             MiB, default 512; over-cap
-//                                             graphs fall back to full
-//                                             forwards with output caching)
+//   DEEPGATE_INCREMENTAL_MEMO_MB = <double>  (per-generation checkpoint memo
+//                                             behind IncrementalSession:
+//                                             capacity per session in MiB,
+//                                             default 512; over-cap graphs
+//                                             fall back to full forwards
+//                                             with output caching —
+//                                             gnn/incremental.hpp)
 //   DEEPGATE_LOG_LEVEL = error | warn | info | debug
 //                                            (stderr log threshold, default
 //                                             info — util/log.hpp)

@@ -48,6 +48,21 @@ TEST(AigerIo, RejectsTruncated) {
   EXPECT_FALSE(read_aiger("aag 3 2 0 1 1\n2\n4\n7\n", &err).has_value());
 }
 
+TEST(AigerIo, RejectsHeaderCountsBeyondInputLength) {
+  std::string err;
+  // M + 1 wraps to 0: the variable tables would be empty yet indexed.
+  EXPECT_FALSE(read_aiger("aag 18446744073709551615 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("exceed input length"), std::string::npos) << err;
+  // Four billion variables in a 23-byte file: would exhaust memory.
+  err.clear();
+  EXPECT_FALSE(read_aiger("aag 4000000000 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("exceed input length"), std::string::npos) << err;
+  // I + A wraps past M: the consistency check alone would accept it.
+  err.clear();
+  EXPECT_FALSE(read_aiger("aag 0 18446744073709551615 0 0 1", &err).has_value());
+  EXPECT_NE(err.find("exceed input length"), std::string::npos) << err;
+}
+
 TEST(AigerIo, RejectsUndefinedLiteral) {
   std::string err;
   // output literal 99 never defined

@@ -1,6 +1,6 @@
 // Batched multi-graph inference: level-merged super-graphs must reproduce
-// the single-graph path — to 1e-5 for heterogeneous batches across all four
-// Table II model families, and bit-exactly for a batch of one.
+// the single-graph path bit-exactly — for heterogeneous batches across all
+// four Table II model families, and for a batch of one.
 #include "core/batch_runner.hpp"
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -174,13 +175,24 @@ TEST(PlanNodeBatches, RespectsBudgetAndCaps) {
   EXPECT_EQ(covered, ptrs.size());
 }
 
-// The acceptance bar: for every Table II family, predict/embed over the
-// merged batch equals the per-graph path to 1e-5 on a heterogeneous batch.
-// (The implementation is in fact bit-exact; the looser bound is the contract.)
+// The merged-forward contract: for every Table II family, predict/embed over
+// the merged batch is bitwise equal to the per-graph path on a heterogeneous
+// batch — including the masked levels, where a member that skips a level
+// when alone keeps its rows untouched.
 TEST(BatchedInference, AllFamiliesMatchSingleGraphPath) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
+
+  const CircuitGraph merged = CircuitGraph::merge(ptrs);
+  int masked = 0;
+  for (int L = 0; L < merged.num_levels; ++L) {
+    const auto lvl = static_cast<std::size_t>(L);
+    masked += static_cast<int>(merged.fwd[lvl].masked()) +
+              static_cast<int>(merged.fwd_skip[lvl].masked()) +
+              static_cast<int>(merged.rev[lvl].masked());
+  }
+  ASSERT_GE(masked, 1) << "fixture no longer exercises masked level batches";
 
   for (const ModelSpec& spec : table2_specs()) {
     deepgate::Options options;
@@ -194,16 +206,13 @@ TEST(BatchedInference, AllFamiliesMatchSingleGraphPath) {
     for (std::size_t i = 0; i < graphs.size(); ++i) {
       const auto single = engine.predict_probabilities(graphs[i]);
       ASSERT_EQ(batched[i].size(), single.size()) << gnn::model_spec_label(spec);
-      for (std::size_t v = 0; v < single.size(); ++v)
-        EXPECT_NEAR(batched[i][v], single[v], 1e-5F)
-            << gnn::model_spec_label(spec) << " graph " << i << " node " << v;
+      EXPECT_EQ(std::memcmp(batched[i].data(), single.data(), single.size() * sizeof(float)), 0)
+          << gnn::model_spec_label(spec) << " graph " << i;
 
       const nn::Matrix emb = engine.embeddings(graphs[i]);
       ASSERT_TRUE(batched_emb[i].same_shape(emb)) << gnn::model_spec_label(spec);
-      for (int r = 0; r < emb.rows(); ++r)
-        for (int c = 0; c < emb.cols(); ++c)
-          EXPECT_NEAR(batched_emb[i].at(r, c), emb.at(r, c), 1e-5F)
-              << gnn::model_spec_label(spec) << " graph " << i;
+      EXPECT_EQ(std::memcmp(batched_emb[i].data(), emb.data(), emb.size() * sizeof(float)), 0)
+          << gnn::model_spec_label(spec) << " graph " << i;
     }
   }
 }

@@ -3,17 +3,21 @@
 // session's incremental outputs must be BITWISE identical to rebuilding the
 // graph from its defining fields and running the plain forward — for all
 // four model families, with the no-grad arena both on and off. Plus the
-// structural guarantee behind the memo: embed-then-predict on an unchanged
-// session performs exactly one level-loop forward.
+// structural guarantees behind the memo: embed-then-predict on an unchanged
+// session performs exactly one level-loop forward, memo hits and misses are
+// counted for every family, and an over-budget memo degrades to full
+// forwards that still cache their outputs.
 #include "core/incremental_session.hpp"
 
 #include "gnn/incremental.hpp"
 #include "nn/arena.hpp"
+#include "obs/metrics.hpp"
 #include "synth/mutate.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 
 namespace {
@@ -175,39 +179,67 @@ INSTANTIATE_TEST_SUITE_P(ArenaOnOff, IncrementalFuzz, ::testing::Values(true, fa
                            return info.param ? "ArenaOn" : "ArenaOff";
                          });
 
-// Memoization disabled: every query is a plain full forward, and outputs
-// still match the from-scratch oracle.
-TEST(IncrementalMemoKnob, DisabledSessionStaysCorrect) {
-  struct OverrideGuard {
-    ~OverrideGuard() { dg::gnn::incremental_memo_clear_override(); }
+// The memo driver counts every query that reaches a memo: a replayed
+// generation is a hit, anything that propagates is a miss — for the GCN
+// family as much as for the layered ones.
+TEST(IncrementalMemo, CountsHitsAndMisses) {
+  const bool metrics_before = dg::obs::metrics_enabled();
+  dg::obs::metrics_set_enabled(true);
+  const dg::obs::Counter& hits = dg::obs::counter("gnn.memo.hits");
+  const dg::obs::Counter& misses = dg::obs::counter("gnn.memo.misses");
+  for (const auto family : {dg::gnn::ModelFamily::kGcn, dg::gnn::ModelFamily::kDeepGate}) {
+    SCOPED_TRACE(dg::gnn::model_family_name(family));
+    const deepgate::Engine engine(small_options(family));
+    deepgate::IncrementalSession session(engine, random_graph(25, 6));
+
+    const std::uint64_t h0 = hits.value();
+    const std::uint64_t m0 = misses.value();
+    engine.predict_incremental(session);     // first query: full forward
+    engine.embeddings_incremental(session);  // unchanged: replay
+    session.insert_node(1, {0, 1});
+    engine.predict_incremental(session);  // edited: partial
+    EXPECT_EQ(hits.value(), h0 + 1);
+    EXPECT_EQ(misses.value(), m0 + 2);
+  }
+  dg::obs::metrics_set_enabled(metrics_before);
+}
+
+// DEEPGATE_INCREMENTAL_MEMO_MB=0: no graph fits the checkpoint budget, so an
+// edit always costs a full forward, never the partial path — but outputs
+// are still cached, so an unchanged re-query replays them.
+TEST(IncrementalMemo, OverCapRunsFullForwardsAndStillReplays) {
+  struct CapGuard {
+    CapGuard() { ::setenv("DEEPGATE_INCREMENTAL_MEMO_MB", "0", 1); }
+    ~CapGuard() { ::unsetenv("DEEPGATE_INCREMENTAL_MEMO_MB"); }
   } guard;
 
-  const deepgate::Engine engine(small_options(dg::gnn::ModelFamily::kDeepGate));
-  deepgate::IncrementalSession session(engine, random_graph(25, 5));
+  for (const auto family : {dg::gnn::ModelFamily::kDagRec, dg::gnn::ModelFamily::kGcn}) {
+    SCOPED_TRACE(dg::gnn::model_family_name(family));
+    const deepgate::Engine engine(small_options(family));
+    deepgate::IncrementalSession session(engine, random_graph(25, 8));
+    engine.predict_incremental(session);
 
-  // Capture a memo, then disable: the next query must fall back to a plain
-  // full forward AND discard the now-unmaintained memo.
-  auto probs = engine.predict_incremental(session);
-  EXPECT_TRUE(session.last_stats().partial == false && session.last_stats().memo_hit == false);
-  dg::gnn::incremental_memo_set_enabled(false);
-  session.insert_node(1, {0, 1});
-  probs = engine.predict_incremental(session);
-  EXPECT_FALSE(session.last_stats().memo_hit);
-  EXPECT_FALSE(session.last_stats().partial);
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "disabled");
+    for (int edit = 0; edit < 3; ++edit) {
+      session.insert_node(1, {edit, edit + 1});
+      const auto c0 = dg::gnn::forward_counters();
+      const std::vector<float> probs = engine.predict_incremental(session);
+      const auto c1 = dg::gnn::forward_counters();
+      EXPECT_EQ(c1.full, c0.full + 1);
+      EXPECT_EQ(c1.partial, c0.partial);
+      EXPECT_FALSE(session.last_stats().partial);
+      EXPECT_FALSE(session.last_stats().memo_hit);
 
-  // Re-enabling mid-session must not resurrect the stale pre-disable memo.
-  dg::gnn::incremental_memo_set_enabled(true);
-  session.rewire_node(session.graph().num_nodes - 1, {1, 2});
-  probs = engine.predict_incremental(session);
-  EXPECT_FALSE(session.last_stats().partial);  // no memo survived: full capture
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "re-enabled");
+      const dg::nn::Matrix emb = engine.embeddings_incremental(session);
+      const auto c2 = dg::gnn::forward_counters();
+      EXPECT_EQ(c2.full, c1.full);
+      EXPECT_EQ(c2.partial, c1.partial);
+      EXPECT_TRUE(session.last_stats().memo_hit);
 
-  // And the rebuilt memo serves the partial path again.
-  session.insert_node(2, {0});
-  probs = engine.predict_incremental(session);
-  EXPECT_TRUE(session.last_stats().partial);
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "partial again");
+      const CircuitGraph fresh = rebuild(session.graph());
+      expect_bitwise(probs, engine.predict_probabilities(fresh), "over-cap prediction");
+      expect_bitwise(emb, engine.embeddings(fresh), "over-cap embedding");
+    }
+  }
 }
 
 // The PR 5 residual, closed: embed-then-predict on an unchanged session runs
