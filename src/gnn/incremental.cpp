@@ -43,81 +43,56 @@ void GraphSnapshot::capture(const CircuitGraph& g) {
 namespace {
 
 /// Per-node dirty seeds: nodes whose h0 or per-level update inputs differ
-/// from the memoized generation. Conservative in the safe direction only.
-std::vector<std::uint8_t> dirty_seeds(const CircuitGraph& g, const GraphSnapshot& snap,
+/// between the memoized snapshot `then` and the current one `now`.
+/// Conservative in the safe direction only.
+std::vector<std::uint8_t> dirty_seeds(const GraphSnapshot& now, const GraphSnapshot& then,
                                       const std::vector<int>& old_of_new,
                                       const DirtySeedOptions& opts) {
-  const auto n = static_cast<std::size_t>(g.num_nodes);
+  const auto n = static_cast<std::size_t>(now.num_nodes);
   assert(old_of_new.size() == n);
   std::vector<std::uint8_t> dirty(n, 0);
 
-  const std::vector<std::vector<int>> fanins = g.fanin_lists();
-  std::vector<std::vector<int>> fanouts(n);
-  for (const auto& [src, dst] : g.edges) fanouts[static_cast<std::size_t>(src)].push_back(dst);
-  std::vector<std::vector<std::pair<int, int>>> skip_fanins(n);
-  for (const auto& e : g.skip_edges)
-    skip_fanins[static_cast<std::size_t>(e.dst)].emplace_back(e.src, e.level_diff);
-
   // A neighbor list matches when it has the same length and every current
   // neighbor existed at the snapshot with the same old id in the same slot.
-  const auto lists_match = [&](const std::vector<int>& now, const std::vector<int>& then) {
-    if (now.size() != then.size()) return false;
-    for (std::size_t i = 0; i < now.size(); ++i)
-      if (old_of_new[static_cast<std::size_t>(now[i])] != then[i]) return false;
+  const auto lists_match = [&](const std::vector<int>& a, const std::vector<int>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (old_of_new[static_cast<std::size_t>(a[i])] != b[i]) return false;
+    return true;
+  };
+  const auto skips_match = [&](const std::vector<std::pair<int, int>>& a,
+                               const std::vector<std::pair<int, int>>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (old_of_new[static_cast<std::size_t>(a[i].first)] != b[i].first ||
+          a[i].second != b[i].second)
+        return false;
     return true;
   };
 
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const int o = old_of_new[vi];
-    if (o < 0 || o >= snap.num_nodes) {
-      dirty[vi] = 1;  // node did not exist at the memoized generation
+  for (std::size_t v = 0; v < n; ++v) {
+    const int o = old_of_new[v];
+    if (o < 0 || o >= then.num_nodes) {
+      dirty[v] = 1;  // node did not exist at the memoized generation
       continue;
     }
     const auto oi = static_cast<std::size_t>(o);
-    if (snap.type[oi] != g.type_id[vi]) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_layout &&
-        (snap.level[oi] != g.level[vi] || snap.pos[oi] != g.node_pos[vi])) {
-      dirty[vi] = 1;  // random-h0 cell and batch coordinates both moved
-      continue;
-    }
-    if (!lists_match(fanins[vi], snap.fanins[oi])) {
-      dirty[vi] = 1;
-      continue;
-    }
-    const auto& sk_now = skip_fanins[vi];
-    const auto& sk_then = snap.skip_fanins[oi];
-    bool skip_ok = sk_now.size() == sk_then.size();
-    for (std::size_t i = 0; skip_ok && i < sk_now.size(); ++i)
-      skip_ok = old_of_new[static_cast<std::size_t>(sk_now[i].first)] == sk_then[i].first &&
-                sk_now[i].second == sk_then[i].second;
-    if (!skip_ok) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_reverse && !lists_match(fanouts[vi], snap.fanouts[oi])) {
-      dirty[vi] = 1;
-      continue;
-    }
-    if (opts.track_layout) {
-      // Same level then and now (layout matched above) — but the level's
-      // update pattern flips when a batch goes (non)empty.
-      const auto L = static_cast<std::size_t>(g.level[vi]);
-      const auto oL = static_cast<std::size_t>(snap.level[oi]);
-      const std::uint8_t fwd_now = g.fwd[L].empty() ? 0 : 1;
-      const std::uint8_t fws_now = g.fwd_skip[L].empty() ? 0 : 1;
-      if (fwd_now != snap.fwd_nonempty[oL] || fws_now != snap.fwd_skip_nonempty[oL]) {
-        dirty[vi] = 1;
-        continue;
-      }
-      if (opts.track_reverse) {
-        const std::uint8_t rev_now = g.rev[L].empty() ? 0 : 1;
-        if (rev_now != snap.rev_nonempty[oL]) dirty[vi] = 1;
-      }
-    }
+    // Layout: the random-h0 cell and the batch coordinates. Same level then
+    // and now, the level's update pattern still flips when a batch goes
+    // (non)empty.
+    const auto L = static_cast<std::size_t>(now.level[v]);
+    const auto oL = static_cast<std::size_t>(then.level[oi]);
+    const bool layout_moved =
+        opts.track_layout &&
+        (L != oL || now.pos[v] != then.pos[oi] ||
+         now.fwd_nonempty[L] != then.fwd_nonempty[oL] ||
+         now.fwd_skip_nonempty[L] != then.fwd_skip_nonempty[oL] ||
+         (opts.track_reverse && now.rev_nonempty[L] != then.rev_nonempty[oL]));
+    if (now.type[v] != then.type[oi] || layout_moved ||
+        !lists_match(now.fanins[v], then.fanins[oi]) ||
+        !skips_match(now.skip_fanins[v], then.skip_fanins[oi]) ||
+        (opts.track_reverse && !lists_match(now.fanouts[v], then.fanouts[oi])))
+      dirty[v] = 1;
   }
   return dirty;
 }
@@ -253,6 +228,10 @@ ForwardOutputs run_incremental(Sweeps& sweeps, const Regressor& regressor, int d
                        old_of_new.size() == static_cast<std::size_t>(g.num_nodes) &&
                        g.num_nodes > 0;
 
+  // One adjacency build per miss: the current snapshot feeds the dirty-seed
+  // diff and then becomes the memo's.
+  GraphSnapshot snap;
+  snap.capture(g);
   std::vector<std::vector<Tensor>> checkpoints;
   Tensor h;
   Tensor pred;
@@ -262,7 +241,7 @@ ForwardOutputs run_incremental(Sweeps& sweeps, const Regressor& regressor, int d
   } else {
     count_partial_forward();
     std::vector<std::uint8_t> dirty =
-        dirty_seeds(g, memo.snap, old_of_new, sweeps.dirty_options());
+        dirty_seeds(snap, memo.snap, old_of_new, sweeps.dirty_options());
     checkpoints.reserve(sweeps.count() + 1);
     checkpoints.push_back(sweeps.initial());
     for (std::size_t s = 0; s < sweeps.count(); ++s) {
@@ -290,7 +269,7 @@ ForwardOutputs run_incremental(Sweeps& sweeps, const Regressor& regressor, int d
 
   memo.checkpoints = std::move(checkpoints);
   memo.has_checkpoints = fits;
-  memo.snap.capture(g);
+  memo.snap = std::move(snap);
   memo.prediction = pred.value();
   memo.embedding = h.value();
   memo.valid = true;

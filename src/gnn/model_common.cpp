@@ -344,8 +344,7 @@ void DirectedLayer::step(const CircuitGraph& g, int L, std::vector<Tensor>& stat
   if (rows == nullptr) {
     const Tensor m = agg_->forward(gather_batch_sources(states, batch), states[lvl], batch.seg,
                                    num_dst, inv_deg, pe_term);
-    const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[lvl]) : m;
-    states[lvl] = gru_.forward(input, states[lvl]);
+    states[lvl] = gru_.forward(m, states[lvl], refeed_ ? x_lvl[lvl] : Tensor());
     return;
   }
 
@@ -379,8 +378,8 @@ void DirectedLayer::step(const CircuitGraph& g, int L, std::vector<Tensor>& stat
   if (pe_term.defined()) pe_term = nn::gather_rows(pe_term, edges);
   const Tensor entry = nn::gather_rows(states[lvl], *rows);
   const Tensor m = agg_->forward(h_src, entry, seg, nsel, nn::gather_rows(inv_deg, *rows), pe_term);
-  const Tensor input = refeed_ ? nn::concat_cols(m, nn::gather_rows(x_lvl[lvl], *rows)) : m;
-  const Tensor updated = gru_.forward(input, entry);
+  const Tensor updated =
+      gru_.forward(m, entry, refeed_ ? nn::gather_rows(x_lvl[lvl], *rows) : Tensor());
 
   // Unselected rows keep their value: an exact row select (no blending).
   if (nn::grad_enabled()) {

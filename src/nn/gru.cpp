@@ -1,6 +1,7 @@
 #include "nn/gru.hpp"
 
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 
 namespace dg::nn {
 
@@ -23,10 +24,17 @@ GruCell::GruCell(int input_size, int hidden_size, util::Rng& rng)
   bn_ = make_b(hidden_size);
 }
 
-Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
-  const Tensor z = sigmoid(add_rowvec(add(matmul(x, wz_), matmul(h, uz_)), bz_));
-  const Tensor r = sigmoid(add_rowvec(add(matmul(x, wr_), matmul(h, ur_)), br_));
-  const Tensor n = tanh_t(add_rowvec(add(matmul(x, wn_), mul(r, matmul(h, un_))), bn_));
+Tensor GruCell::forward(const Tensor& x, const Tensor& h, const Tensor& x_tail) const {
+  if (!grad_enabled()) {
+    const kern::GruWeights w{wz_.value(), uz_.value(), bz_.value(), wr_.value(), ur_.value(),
+                             br_.value(), wn_.value(), un_.value(), bn_.value()};
+    return constant(
+        kern::gru_step(x.value(), x_tail.defined() ? &x_tail.value() : nullptr, h.value(), w));
+  }
+  const Tensor in = x_tail.defined() ? concat_cols(x, x_tail) : x;
+  const Tensor z = sigmoid(add_rowvec(add(matmul(in, wz_), matmul(h, uz_)), bz_));
+  const Tensor r = sigmoid(add_rowvec(add(matmul(in, wr_), matmul(h, ur_)), br_));
+  const Tensor n = tanh_t(add_rowvec(add(matmul(in, wn_), mul(r, matmul(h, un_))), bn_));
   // h' = (1 - z) o n + z o h, written without a ones constant:
   // h' = n - z o n + z o h.
   return add(sub(n, mul(z, n)), mul(z, h));

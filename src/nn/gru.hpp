@@ -7,6 +7,14 @@
 //
 // All rows of a topological level are processed as one batch (N x I inputs,
 // N x H states).
+//
+// Two executions of the same math. With gradients enabled, forward() tapes
+// the composition above (~20 ops); that path trains and is the oracle. With
+// gradients off, it makes one kern::gru_step call, which runs the same
+// backend workers in the same order on row tiles and is bitwise equal to the
+// taped forward on every backend. A caller whose input is two column blocks
+// (DirectedLayer: message | gate-type one-hot) passes them separately, so
+// the no-grad path needs no concatenated copy.
 #pragma once
 
 #include "nn/module.hpp"
@@ -20,8 +28,10 @@ class GruCell {
   GruCell() = default;
   GruCell(int input_size, int hidden_size, util::Rng& rng);
 
-  /// x: N x input, h: N x hidden -> new hidden N x hidden.
-  Tensor forward(const Tensor& x, const Tensor& h) const;
+  /// x: N x input, h: N x hidden -> new hidden N x hidden. `x_tail`, when
+  /// defined, holds the trailing input columns: the input is then
+  /// concat_cols(x, x_tail).
+  Tensor forward(const Tensor& x, const Tensor& h, const Tensor& x_tail = Tensor()) const;
 
   void collect(NamedParams& out, const std::string& prefix) const;
 

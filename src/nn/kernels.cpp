@@ -363,6 +363,67 @@ Matrix scale_rows_scatter_add(const Matrix& src, const Matrix& alpha,
   return c;
 }
 
+Matrix gru_step(const Matrix& x0, const Matrix* x1, const Matrix& h, const GruWeights& w) {
+  const int rows = h.rows(), hid = h.cols();
+  const int k0 = x0.cols(), k1 = x1 != nullptr ? x1->cols() : 0;
+  assert(x0.rows() == rows && (x1 == nullptr || x1->rows() == rows));
+  assert(w.wz.rows() == k0 + k1 && w.wz.cols() == hid && w.uz.rows() == hid);
+  Matrix out(rows, hid);
+  // Three N x H planes z, n and t (the hidden-side matmul and the products
+  // of the blend). The reset gate r lives in `out` until h' overwrites it.
+  Matrix scratch(3 * rows, hid);
+  const std::size_t nh = static_cast<std::size_t>(hid);
+  float* zp = scratch.data();
+  float* np = zp + static_cast<std::size_t>(rows) * nh;
+  float* tp = np + static_cast<std::size_t>(rows) * nh;
+  float* op = out.data();
+  const KernelBackend& be = backend();
+  // Rows per tile: a tile's planes stay in L1 while the gate weights stream
+  // from L2.
+  constexpr int kTile = 16;
+  const std::int64_t flops_per_row = std::int64_t{3} * (k0 + k1 + hid) * hid;
+  for_row_blocks(rows, flops_per_row, [&](int i0, int i1) {
+    for (int t0 = i0; t0 < i1; t0 += kTile) {
+      const int t1 = std::min(i1, t0 + kTile);
+      const std::size_t off = static_cast<std::size_t>(t0) * nh;
+      const std::size_t len = static_cast<std::size_t>(t1 - t0) * nh;
+      // Tile rows of plane `acc` = (x wx + [reset o] (h uh)) + b.
+      const auto pre_activation = [&](float* acc, const Matrix& wx, const Matrix& uh,
+                                      const Matrix& b, const float* reset) {
+        std::fill_n(acc + off, len, 0.0F);
+        be.matmul_rows(acc, x0.data(), wx.data(), t0, t1, k0, hid);
+        if (k1 > 0)
+          be.matmul_rows(acc, x1->data(), wx.data() + static_cast<std::size_t>(k0) * nh, t0,
+                         t1, k1, hid);
+        std::fill_n(tp + off, len, 0.0F);
+        be.matmul_rows(tp, h.data(), uh.data(), t0, t1, hid, hid);
+        if (reset != nullptr) be.mul_n(tp + off, reset + off, tp + off, len);
+        be.add_n(acc + off, acc + off, tp + off, len);
+        for (int r = t0; r < t1; ++r) {
+          float* row = acc + static_cast<std::size_t>(r) * nh;
+          be.add_n(row, row, b.data(), nh);
+        }
+      };
+      float* z = zp + off;
+      float* n = np + off;
+      float* t = tp + off;
+      float* o = op + off;
+      pre_activation(zp, w.wz, w.uz, w.bz, nullptr);
+      be.sigmoid_n(z, z, len);
+      pre_activation(op, w.wr, w.ur, w.br, nullptr);
+      be.sigmoid_n(o, o, len);
+      pre_activation(np, w.wn, w.un, w.bn, op);
+      be.tanh_n(n, n, len);
+      // h' = (n - z o n) + z o h
+      be.mul_n(t, z, n, len);
+      be.sub_n(o, n, t, len);
+      be.mul_n(t, z, h.data() + off, len);
+      be.add_n(o, o, t, len);
+    }
+  });
+  return out;
+}
+
 // Dot-product shaped; scalar-only for the same reason as matmul_nt.
 Matrix row_dot(const Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));

@@ -101,4 +101,33 @@ Matrix softmax_segments(const Matrix& s, const std::vector<int>& segment, int nu
 Matrix scale_rows_scatter_add(const Matrix& src, const Matrix& alpha,
                               const std::vector<int>& idx, int out_rows);
 
+/// The weights of one GRU cell (nn/gru.hpp): input maps wz/wr/wn (I x H),
+/// hidden maps uz/ur/un (H x H), biases bz/br/bn (1 x H).
+struct GruWeights {
+  const Matrix& wz;
+  const Matrix& uz;
+  const Matrix& bz;
+  const Matrix& wr;
+  const Matrix& ur;
+  const Matrix& br;
+  const Matrix& wn;
+  const Matrix& un;
+  const Matrix& bn;
+};
+
+/// No-grad GRU step (Eq. 6): h' (N x H) from h (N x H) and the input
+/// x = [x0 | x1] given as two column blocks (x1 == nullptr: x = x0). One
+/// row-block partition calls the backend workers on row tiles, with no
+/// intermediate matrices beyond one scratch buffer.
+///
+/// Bitwise identical on every backend (the avx2_fma overlay included) to
+/// the kernel composition GruCell::forward tapes over concat_cols(x0, x1):
+/// the same workers run per element in the same order. Each gate matmul
+/// starts from zeros and accumulates k ascending; the x1 block continues
+/// x0's accumulation in the same buffer, which is the same k-ordered sum as
+/// one matmul over the concatenated input. The elementwise workers are
+/// per-element, and sigmoid/tanh values do not depend on their position in
+/// a range, so the row tiling cannot change a value.
+Matrix gru_step(const Matrix& x0, const Matrix* x1, const Matrix& h, const GruWeights& w);
+
 }  // namespace dg::nn::kern

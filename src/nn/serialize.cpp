@@ -46,6 +46,15 @@ bool save_params(const std::string& path, const NamedParams& params) {
 bool load_params(const std::string& path, NamedParams& params) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  // Every length a header declares must fit in the bytes not yet read, so a
+  // hostile header fails here instead of asking for gigabytes.
+  const auto remaining = [&]() -> std::uint64_t {
+    const std::streamoff pos = in.tellg();
+    return pos < 0 || pos > file_size ? 0 : static_cast<std::uint64_t>(file_size - pos);
+  };
   char magic[4];
   in.read(magic, 4);
   if (!in || std::string(magic, 4) != std::string(kMagic, 4)) return false;
@@ -56,12 +65,16 @@ bool load_params(const std::string& path, NamedParams& params) {
   std::unordered_map<std::string, Matrix> loaded;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t name_len = 0;
-    if (!read_pod(in, name_len) || name_len > (1U << 20)) return false;
+    if (!read_pod(in, name_len) || name_len > remaining()) return false;
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     std::int32_t rows = 0, cols = 0;
     if (!read_pod(in, rows) || !read_pod(in, cols)) return false;
     if (rows < 0 || cols < 0) return false;
+    // Two non-negative int32 factors: the 64-bit product times 4 cannot wrap.
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) * sizeof(float);
+    if (bytes > remaining()) return false;
     Matrix m(rows, cols);
     in.read(reinterpret_cast<char*>(m.data()),
             static_cast<std::streamsize>(m.size() * sizeof(float)));

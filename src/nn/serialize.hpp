@@ -16,7 +16,9 @@ bool save_params(const std::string& path, const NamedParams& params);
 
 /// Read a checkpoint and copy matching entries into `params` (by exact name,
 /// shapes must agree). Returns false on I/O error, unknown format, a missing
-/// name, or a shape mismatch.
+/// name, or a shape mismatch, and on a header whose name length or
+/// rows*cols*4 exceeds the bytes left in the file (checked before
+/// allocating).
 bool load_params(const std::string& path, NamedParams& params);
 
 }  // namespace dg::nn

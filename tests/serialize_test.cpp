@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace dg::nn {
 namespace {
@@ -105,6 +107,61 @@ TEST(Serialize, MissingFileFails) {
   NamedParams params;
   lin.collect(params, "lin");
   EXPECT_FALSE(load_params("/nonexistent/path/x.dgtp", params));
+}
+
+/// A version-1 checkpoint holding one parameter "w" whose header declares
+/// rows x cols but whose payload carries only `payload_floats` floats.
+std::string write_header_only(const char* file, std::int32_t rows, std::int32_t cols,
+                              std::size_t payload_floats) {
+  const std::string path = temp_path(file);
+  std::ofstream out(path, std::ios::binary);
+  const auto put = [&](auto v) { out.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
+  out.write("DGTP", 4);
+  put(std::uint32_t{1});  // version
+  put(std::uint32_t{1});  // parameter count
+  put(std::uint32_t{1});  // name length
+  out.write("w", 1);
+  put(rows);
+  put(cols);
+  const std::vector<float> payload(payload_floats, 0.5F);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(float)));
+  return path;
+}
+
+NamedParams one_param(int rows, int cols) {
+  return {{"w", Tensor::leaf(Matrix(rows, cols), true)}};
+}
+
+// 25 bytes declaring 70000 x 70000 floats: without the bound the reader
+// asked for 19.6 GB before noticing the payload is missing.
+TEST(Serialize, HugeHeaderFailsWithoutAllocating) {
+  const std::string path = write_header_only("dg_huge.dgtp", 70000, 70000, 0);
+  EXPECT_EQ(std::filesystem::file_size(path), 25U);
+  NamedParams params = one_param(2, 2);
+  EXPECT_FALSE(load_params(path, params));
+  std::remove(path.c_str());
+}
+
+// 65536 x 65537 overflows int32 (and wraps to 65536 in uint32); the file
+// carries exactly the wrapped byte count, so only 64-bit arithmetic rejects it.
+TEST(Serialize, Int32ProductOverflowFails) {
+  const std::string path = write_header_only("dg_overflow.dgtp", 65536, 65537, 65536);
+  NamedParams params = one_param(2, 2);
+  EXPECT_FALSE(load_params(path, params));
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, TruncatedPayloadFails) {
+  const std::string path = write_header_only("dg_truncated.dgtp", 2, 3, 5);
+  NamedParams params = one_param(2, 3);
+  EXPECT_FALSE(load_params(path, params));
+  std::remove(path.c_str());
+  // The same header with its full payload loads.
+  const std::string whole = write_header_only("dg_whole.dgtp", 2, 3, 6);
+  EXPECT_TRUE(load_params(whole, params));
+  EXPECT_EQ(params[0].second.value().at(1, 2), 0.5F);
+  std::remove(whole.c_str());
 }
 
 }  // namespace
