@@ -40,6 +40,10 @@ class IncrementalSession {
   /// session actually did (memo hit / partial / full, dirty row count).
   const dg::gnn::IncrementalRunStats& last_stats() const { return stats_; }
 
+  /// The model-family memo the queries maintain (nullptr for a family
+  /// without one), for inspection only: Engine queries are its one writer.
+  const dg::gnn::IncrementalState* incremental_state() const { return state_.get(); }
+
  private:
   friend class Engine;
 

@@ -667,13 +667,20 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
   }
 
   const auto in_range = [&](int v) { return v >= 0 && v < cg.num_nodes; };
+  // Every edge and skip edge must run from a strictly lower level to a
+  // higher one: the level sweeps read a source only after its level is
+  // final, so a same-level or downward edge (a cycle, or a read of a stale
+  // state) has no forward to define. O(E), checked before finalize().
+  const auto upward = [&](int src, int dst) {
+    return cg.level[static_cast<std::size_t>(src)] < cg.level[static_cast<std::size_t>(dst)];
+  };
   const std::uint64_t num_edges = r.u64();
   if (!r.ok() || num_edges > r.remaining() / 8) return false;
   cg.edges.resize(static_cast<std::size_t>(num_edges));
   for (auto& [src, dst] : cg.edges) {
     src = r.i32();
     dst = r.i32();
-    if (!r.ok() || !in_range(src) || !in_range(dst)) return false;
+    if (!r.ok() || !in_range(src) || !in_range(dst) || !upward(src, dst)) return false;
   }
   const std::uint64_t num_skip = r.u64();
   if (!r.ok() || num_skip > r.remaining() / 12) return false;
@@ -682,7 +689,9 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
     e.src = r.i32();
     e.dst = r.i32();
     e.level_diff = r.i32();
-    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 0) return false;
+    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 0 ||
+        !upward(e.src, e.dst))
+      return false;
   }
   cg.labels.resize(n);
   for (auto& l : cg.labels) l = r.f32();

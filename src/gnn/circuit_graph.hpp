@@ -171,7 +171,9 @@ struct CircuitGraph {
 
   /// Parse one graph starting at `offset` (advanced past it on success) and
   /// finalize it. Returns false — leaving `g` unspecified — on truncation or
-  /// any structural violation (ids out of range, bad levels, label count).
+  /// any structural violation (ids out of range, bad levels, an edge or
+  /// skip edge whose source level is not strictly below its destination's,
+  /// label count).
   static bool deserialize(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                           CircuitGraph& g);
 };

@@ -76,7 +76,7 @@ class GcnModel final : public Model {
   /// GCN keeps whole-graph dense states: every checkpoint is a single
   /// N x d "level", and dirtiness spreads exactly one undirected hop per
   /// layer. h0 is the type one-hot padded to d — row-local in the gate type,
-  /// so clean rows of a fresh h0 match the memo bitwise.
+  /// so the memo's clean h0 rows need no redraw.
   class GcnSweeps final : public Sweeps {
    public:
     GcnSweeps(const GcnModel& model, const CircuitGraph& g)
@@ -102,31 +102,53 @@ class GcnModel final : public Model {
       states[0] = model_.layer(s, g_, states[0], inv_deg_, nullptr);
     }
 
-    void partial(std::size_t s, std::vector<Tensor>& states, const std::vector<Tensor>& memo_next,
-                 const GraphSnapshot& /*snap*/, const std::vector<int>& old_of_new,
-                 std::vector<std::uint8_t>& dirty) override {
+    int adopt(std::vector<std::vector<Tensor>>& checkpoints, const std::vector<int>& old_of_new,
+              const std::vector<std::uint8_t>& dirty) override {
+      const int n = g_.num_nodes;
+      const int dim = model_.cfg_.dim;
+      // Layout is not tracked: clean rows stay in place only while node ids
+      // did; after an insert or delete every checkpoint is remapped.
+      bool in_place = checkpoints[0][0].rows() == n;
+      for (int v = 0; v < n && in_place; ++v)
+        in_place = dirty[static_cast<std::size_t>(v)] != 0 || old_of_new[static_cast<std::size_t>(v)] == v;
+      if (!in_place) {
+        for (auto& ckpt : checkpoints) {
+          const nn::Matrix& old = ckpt[0].value();
+          nn::Matrix m(n, dim);
+          for (int v = 0; v < n; ++v)
+            if (dirty[static_cast<std::size_t>(v)] == 0)
+              std::copy_n(old.row_ptr(old_of_new[static_cast<std::size_t>(v)]), dim, m.row_ptr(v));
+          ckpt[0] = nn::constant(std::move(m));
+        }
+      }
+      int drawn = 0;
+      for (int v = 0; v < n; ++v) {
+        if (dirty[static_cast<std::size_t>(v)] == 0) continue;
+        init_state_row(g_, dim, /*random_init=*/false, model_.cfg_.seed, -1, v, v,
+                       writable(checkpoints[0][0]).row_ptr(v));
+        ++drawn;
+      }
+      return drawn;
+    }
+
+    int partial(std::size_t s, const std::vector<Tensor>& entry, std::vector<Tensor>& next,
+                std::vector<std::uint8_t>& dirty) override {
       // One-hop spread: a row's message reads its neighbors' entry states.
-      std::vector<std::uint8_t> next = dirty;
+      std::vector<std::uint8_t> spread = dirty;
       for (std::size_t i = 0; i < g_.und_src.size(); ++i)
         if (dirty[static_cast<std::size_t>(g_.und_src[i])] != 0)
-          next[static_cast<std::size_t>(g_.und_dst[i])] = 1;
-      dirty = std::move(next);
+          spread[static_cast<std::size_t>(g_.und_dst[i])] = 1;
+      dirty = std::move(spread);
 
       std::vector<int> rows;
       for (int v = 0; v < g_.num_nodes; ++v)
         if (dirty[static_cast<std::size_t>(v)] != 0) rows.push_back(v);
-      const Tensor updated =
-          rows.empty() ? Tensor() : model_.layer(s, g_, states[0], inv_deg_, &rows);
-      const int dim = states[0].cols();
-      nn::Matrix out(g_.num_nodes, dim);
-      int k = 0;
-      for (int v = 0; v < g_.num_nodes; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        const float* src = dirty[vi] != 0 ? updated.value().row_ptr(k++)
-                                          : memo_next[0].value().row_ptr(old_of_new[vi]);
-        std::copy(src, src + dim, out.row_ptr(v));
-      }
-      states[0] = nn::constant(std::move(out));
+      if (rows.empty()) return 0;
+      const Tensor updated = model_.layer(s, g_, entry[0], inv_deg_, &rows);
+      nn::Matrix& out = writable(next[0]);
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        std::copy_n(updated.value().row_ptr(static_cast<int>(k)), out.cols(), out.row_ptr(rows[k]));
+      return static_cast<int>(rows.size());
     }
 
     Tensor embedding(const std::vector<Tensor>& states) const override { return states[0]; }

@@ -10,9 +10,23 @@
 // The level-by-level propagation means an edit's influence on the forward
 // state is confined to the fan-out cone of the touched nodes. The driver
 // memoizes the checkpoints after every sweep of a query, keyed by
-// CircuitGraph::generation, and on the next query each sweep re-propagates
-// only the rows whose inputs changed; every other row is copied bitwise out
-// of the memo.
+// CircuitGraph::generation, and on the next query the memo's checkpoints
+// become the working state: they are brought into the current layout, and
+// each sweep re-propagates only the rows whose inputs changed, writing them
+// in place. Every other row is left where it is, so a partial query's cost
+// scales with the dirty cone (IncrementalRunStats::h0_rows/rows_stepped).
+//
+// Ownership and aliasing: run_incremental owns the checkpoints, and nothing
+// outside them holds a checkpoint tensor. A full forward's checkpoints
+// share one tensor across consecutive sweeps that leave a level unchanged,
+// so every in-place write goes through writable(), which first gives the
+// written slot a private copy when another handle shares its node
+// (copy-on-write). A level a sweep only carries is left alone when its
+// entry and post-sweep slots are the same tensor (its entry rows are
+// already the post-sweep ones); otherwise its dirty rows are copied across.
+// A batch that flips between empty and non-empty across generations marks
+// every node of its level dirty, so a slot shared in the memo's generation
+// but stepped in this one is rewritten whole, never half-shared.
 //
 // Identity across edits is positional: node v of the current graph
 // corresponds to node old_of_new[v] of the memoized generation (-1 = new
@@ -34,6 +48,7 @@
 #include "gnn/model_common.hpp"
 
 #include <map>
+#include <span>
 
 namespace dg::gnn {
 
@@ -44,13 +59,26 @@ double incremental_memo_cap_mb();
 /// snapshot time — everything the dirty-seed diff needs to decide whether a
 /// surviving node's forward inputs changed.
 struct GraphSnapshot {
+  /// Per-node lists in one flat array: node v's list is
+  /// items[start[v], start[v + 1]).
+  template <class T>
+  struct Adjacency {
+    std::vector<int> start;
+    std::vector<T> items;
+    std::span<const T> of(int v) const {
+      const auto b = static_cast<std::size_t>(start[static_cast<std::size_t>(v)]);
+      const auto e = static_cast<std::size_t>(start[static_cast<std::size_t>(v) + 1]);
+      return {items.data() + b, e - b};
+    }
+  };
+
   std::uint64_t generation = 0;
   int num_nodes = 0;
   int num_levels = 0;
   std::vector<int> level, pos, type;
-  std::vector<std::vector<int>> fanins;                       ///< canonical per-dst order
-  std::vector<std::vector<int>> fanouts;                      ///< canonical edge order
-  std::vector<std::vector<std::pair<int, int>>> skip_fanins;  ///< (src, level_diff) per dst
+  Adjacency<int> fanins;                       ///< canonical per-dst order
+  Adjacency<int> fanouts;                      ///< canonical edge order
+  Adjacency<std::pair<int, int>> skip_fanins;  ///< (src, level_diff) per dst
   // Per-level batch-emptiness flags: an empty batch carries entry states
   // through a level, a non-empty one GRU-updates every row — so a flag flip
   // changes a node's update pattern even when its own edges are untouched.
@@ -88,10 +116,15 @@ class MemoState final : public IncrementalState {
   LevelMemo memo;
 };
 
+/// The value of `t`, ready for an in-place write: `t` first takes a private
+/// copy when another handle shares its node (copy-on-write).
+nn::Matrix& writable(nn::Tensor& t);
+
 /// One family's propagation over one graph: h0, then count() sweeps. Built
 /// per forward call, so implementations may cache per-graph constants.
-/// Sweeps never write a state tensor in place; they replace it, so
-/// checkpoints may share tensors with later states.
+/// A full run replaces state tensors and never writes one in place, so its
+/// checkpoints may share tensors across sweeps; a partial run writes the
+/// checkpoints in place, through writable() only.
 class Sweeps {
  public:
   explicit Sweeps(const CircuitGraph& g) : g_(g) {}
@@ -102,19 +135,26 @@ class Sweeps {
   /// Which structural differences seed the dirty set.
   virtual DirtySeedOptions dirty_options() const = 0;
 
-  /// Checkpoint 0 (h0). Clean rows of a fresh h0 equal the memoized ones
-  /// bitwise: h0 is a per-node function of the cell and the gate type.
+  /// Checkpoint 0 (h0).
   virtual std::vector<nn::Tensor> initial() = 0;
   /// Sweep s over every row.
   virtual void full(std::size_t s, std::vector<nn::Tensor>& states) = 0;
-  /// Sweep s over the rows that may differ from the memo. `states` holds
-  /// the sweep-entry states and leaves with the post-sweep ones; clean rows
-  /// are stitched from `memo_next` (the memoized post-sweep states, in
-  /// `snap`'s layout). `dirty` marks nodes whose value may differ from the
-  /// memo; a sweep only ever adds to it.
-  virtual void partial(std::size_t s, std::vector<nn::Tensor>& states,
-                       const std::vector<nn::Tensor>& memo_next, const GraphSnapshot& snap,
-                       const std::vector<int>& old_of_new, std::vector<std::uint8_t>& dirty) = 0;
+  /// Brings the memoized `checkpoints` (the previous generation's, mapped
+  /// by `old_of_new`) into the current layout, so every clean row holds its
+  /// memoized value at the node's current cell, and writes a fresh h0 into
+  /// the rows of the `dirty` seeds of checkpoint 0. Clean rows of h0 need
+  /// no redraw: h0 is a per-node function of the cell and the gate type.
+  /// Returns the number of h0 rows written.
+  virtual int adopt(std::vector<std::vector<nn::Tensor>>& checkpoints,
+                    const std::vector<int>& old_of_new,
+                    const std::vector<std::uint8_t>& dirty) = 0;
+  /// Sweep s in place over the rows that may differ from the memo: `entry`
+  /// is checkpoint s, complete for this generation; `next` is checkpoint
+  /// s + 1, correct on clean rows, and leaves complete. `dirty` marks nodes
+  /// whose value may differ from the memo; a sweep only ever adds to it.
+  /// Returns the number of rows the step updated.
+  virtual int partial(std::size_t s, const std::vector<nn::Tensor>& entry,
+                      std::vector<nn::Tensor>& next, std::vector<std::uint8_t>& dirty) = 0;
   /// Final N x d node-order embedding.
   virtual nn::Tensor embedding(const std::vector<nn::Tensor>& states) const = 0;
 
@@ -134,17 +174,31 @@ class LayeredSweeps final : public Sweeps {
   DirtySeedOptions dirty_options() const override;
   std::vector<nn::Tensor> initial() override;
   void full(std::size_t s, std::vector<nn::Tensor>& states) override;
-  void partial(std::size_t s, std::vector<nn::Tensor>& states,
-               const std::vector<nn::Tensor>& memo_next, const GraphSnapshot& snap,
-               const std::vector<int>& old_of_new, std::vector<std::uint8_t>& dirty) override;
+  int adopt(std::vector<std::vector<nn::Tensor>>& checkpoints, const std::vector<int>& old_of_new,
+            const std::vector<std::uint8_t>& dirty) override;
+  int partial(std::size_t s, const std::vector<nn::Tensor>& entry, std::vector<nn::Tensor>& next,
+              std::vector<std::uint8_t>& dirty) override;
   nn::Tensor embedding(const std::vector<nn::Tensor>& states) const override;
 
  private:
+  /// One batch kind (fwd, fwd_skip or rev) indexed for partial sweeps,
+  /// built at most once per query so that a sweep's bookkeeping scales
+  /// with the dirty rows, not the edges: per stepped level, every
+  /// destination row's edges in stored order, and per node, the nodes
+  /// whose stepped rows read it as a message source.
+  struct BatchIndex {
+    std::vector<std::vector<int>> row_start;  ///< [level] num_dst + 1 offsets
+    std::vector<std::vector<int>> row_edges;  ///< [level] edge indices by row
+    GraphSnapshot::Adjacency<int> readers;
+  };
+  const BatchIndex& batch_index(const DirectedLayer& layer);
+
   const ModelConfig& cfg_;
   std::vector<const DirectedLayer*> layers_;
   std::vector<nn::Tensor> x_lvl_;
   // Per-layer constants shared by the T sweeps of a recurrent model.
   std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch_;
+  std::map<const LevelBatch*, BatchIndex> index_;  ///< keyed by the kind's level-0 batch
 };
 
 /// The one sweep loop: h0, then every sweep over every row; returns the
@@ -154,9 +208,12 @@ nn::Tensor run_sweeps(Sweeps& sweeps,
                       std::vector<std::vector<nn::Tensor>>* checkpoints = nullptr);
 
 /// The one memo driver behind every family's forward_incremental: replays
-/// an unchanged generation, otherwise runs each sweep partially against the
-/// memo (or fully when there is no usable memo or it would exceed the cap),
-/// recomputes predictions of dirty rows only, and refreshes the memo.
+/// an unchanged generation, otherwise updates the memo's checkpoints in
+/// place sweep by sweep (or runs every sweep fully when there is no usable
+/// memo or it would exceed the cap), recomputes predictions of dirty rows
+/// only, and refreshes the memo. A partial run allocates no N x d matrix
+/// besides the returned embedding and the memo's copy of it (and GCN's
+/// checkpoint remap after node ids shifted).
 /// `state` comes from make_incremental_state (anything else: plain full
 /// forward). Must run under nn::NoGradGuard; outputs are bitwise identical
 /// to the model's forward_outputs(g).

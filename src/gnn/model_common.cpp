@@ -222,13 +222,63 @@ std::vector<nn::Matrix> batched_random_level_rows(const CircuitGraph& g, int dim
   return mats;
 }
 
-/// Concat gathers from per-level states into the edge-ordered source batch.
-Tensor gather_batch_sources(const std::vector<Tensor>& states, const LevelBatch& batch) {
-  std::vector<Tensor> parts;
+/// One group of a level step's message sources: rows `*pos` of the state
+/// of level `level`.
+struct SourceRows {
+  int level;
+  const std::vector<int>* pos;
+};
+
+/// The edge-ordered source batch: every part's rows, in order. No-grad
+/// gathers straight into one E x d buffer; the taped path keeps per-part
+/// gathers plus concat_rows (the training path, and the oracle the
+/// no-grad copy is equal to by construction).
+Tensor gather_sources(const std::vector<Tensor>& states, const std::vector<SourceRows>& parts,
+                      int dim) {
+  if (!nn::grad_enabled()) {
+    std::size_t num_rows = 0;
+    for (const SourceRows& part : parts) num_rows += part.pos->size();
+    nn::Matrix out(static_cast<int>(num_rows), dim);
+    float* dst = out.data();
+    for (const SourceRows& part : parts) {
+      const nn::Matrix& src = states[static_cast<std::size_t>(part.level)].value();
+      for (const int p : *part.pos) {
+        std::copy_n(src.row_ptr(p), dim, dst);
+        dst += dim;
+      }
+    }
+    return nn::constant(std::move(out));
+  }
+  std::vector<Tensor> gathered;
+  gathered.reserve(parts.size());
+  for (const SourceRows& part : parts)
+    gathered.push_back(nn::gather_rows(states[static_cast<std::size_t>(part.level)], *part.pos));
+  if (gathered.empty()) return nn::constant(nn::Matrix(0, dim));
+  return gathered.size() == 1 ? gathered[0] : nn::concat_rows(gathered);
+}
+
+Tensor gather_batch_sources(const std::vector<Tensor>& states, const LevelBatch& batch,
+                            int dim) {
+  std::vector<SourceRows> parts;
   parts.reserve(batch.groups.size());
-  for (const auto& group : batch.groups)
-    parts.push_back(nn::gather_rows(states[static_cast<std::size_t>(group.level)], group.pos));
-  return parts.size() == 1 ? parts[0] : nn::concat_rows(parts);
+  for (const auto& group : batch.groups) parts.push_back({group.level, &group.pos});
+  return gather_sources(states, parts, dim);
+}
+
+/// The selection for `rows` (ascending positions among the batch's
+/// num_dst destination rows), by one scan over every edge of the batch.
+EdgeSelection select_edges(const LevelBatch& batch, int num_dst, const std::vector<int>& rows) {
+  std::vector<int> rank(static_cast<std::size_t>(num_dst), -1);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rank[static_cast<std::size_t>(rows[i])] = static_cast<int>(i);
+  EdgeSelection sel;
+  for (std::size_t e = 0; e < batch.seg.size(); ++e) {
+    const int r = rank[static_cast<std::size_t>(batch.seg[e])];
+    if (r < 0) continue;
+    sel.edges.push_back(static_cast<int>(e));
+    sel.seg.push_back(r);
+  }
+  return sel;
 }
 
 }  // namespace
@@ -271,7 +321,29 @@ Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::ui
   return nn::constant(std::move(m));
 }
 
+void init_state_row(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed,
+                    int level, int row, int node, float* dst) {
+  if (random_init) {
+    fill_h0_row(dst, dim, h0_row_seed(seed, level, row));
+    return;
+  }
+  std::fill_n(dst, dim, 0.0F);
+  dst[g.type_id[static_cast<std::size_t>(node)]] = 1.0F;
+}
+
 Tensor full_from_levels(const std::vector<Tensor>& states, const CircuitGraph& g) {
+  if (!nn::grad_enabled()) {
+    // Copy each node's row straight into node order: the same bytes as the
+    // concat + gather below, without the N x d intermediate.
+    const int dim = states.empty() ? 0 : states[0].cols();
+    nn::Matrix out(g.num_nodes, dim);
+    for (int v = 0; v < g.num_nodes; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const nn::Matrix& m = states[static_cast<std::size_t>(g.level[vi])].value();
+      std::copy_n(m.row_ptr(g.node_pos[vi]), dim, out.row_ptr(v));
+    }
+    return nn::constant(std::move(out));
+  }
   const Tensor stacked = nn::concat_rows(states);  // rows in level order
   return nn::gather_rows(stacked, [&] {
     // permutation: node v sits at row offset(level) + node_pos[v]
@@ -297,107 +369,108 @@ DirectedLayer::DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& r
       agg_(make_aggregator(cfg.agg, cfg.dim, 2 * cfg.pe_L, rng)),
       gru_(refeed_ ? cfg.dim + cfg.num_types : cfg.dim, cfg.dim, rng) {}
 
-void DirectedLayer::step(const CircuitGraph& g, int L, std::vector<Tensor>& states,
-                         const std::vector<Tensor>& x_lvl, const std::vector<int>* rows,
-                         Scratch* scratch) const {
+DirectedLayer::LevelConsts DirectedLayer::level_consts(const CircuitGraph& g, int L,
+                                                      Scratch* scratch) const {
   const LevelBatch& batch = batch_at(g, L);
-  if (batch.empty()) return;
   const std::size_t lvl = static_cast<std::size_t>(L);
   const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-  // A merged batch whose members skip this level when alone: step only the
-  // rows of members that do update here.
-  std::vector<int> member_rows;
-  if (rows == nullptr && batch.masked()) {
-    for (int r = 0; r < num_dst; ++r)
-      if (batch.update_rows[static_cast<std::size_t>(r)] != 0) member_rows.push_back(r);
-    if (static_cast<int>(member_rows.size()) < num_dst) rows = &member_rows;
-  }
-  if (rows != nullptr && rows->empty()) return;
-
   const bool memo = scratch != nullptr && !nn::grad_enabled();
   if (memo && scratch->pe_term.size() != static_cast<std::size_t>(g.num_levels)) {
     scratch->pe_term.assign(static_cast<std::size_t>(g.num_levels), Tensor());
     scratch->pe_valid.assign(static_cast<std::size_t>(g.num_levels), 0);
     scratch->inv_deg.assign(static_cast<std::size_t>(g.num_levels), Tensor());
   }
-  Tensor pe_term;
+  LevelConsts c;
   if (memo && scratch->pe_valid[lvl] != 0) {
-    pe_term = scratch->pe_term[lvl];
+    c.pe_term = scratch->pe_term[lvl];
   } else if (batch.pe.rows() > 0) {
-    pe_term = agg_->project_pe(nn::constant(batch.pe));
+    c.pe_term = agg_->project_pe(nn::constant(batch.pe));
     if (memo) {
-      scratch->pe_term[lvl] = pe_term;
+      scratch->pe_term[lvl] = c.pe_term;
       scratch->pe_valid[lvl] = 1;
     }
   } else if (memo) {
     scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
   }
-  Tensor inv_deg;
   if (memo && scratch->inv_deg[lvl].defined()) {
-    inv_deg = scratch->inv_deg[lvl];
+    c.inv_deg = scratch->inv_deg[lvl];
   } else {
-    inv_deg = nn::constant(
+    c.inv_deg = nn::constant(
         nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
-    if (memo) scratch->inv_deg[lvl] = inv_deg;
+    if (memo) scratch->inv_deg[lvl] = c.inv_deg;
   }
+  return c;
+}
 
-  if (rows == nullptr) {
-    const Tensor m = agg_->forward(gather_batch_sources(states, batch), states[lvl], batch.seg,
-                                   num_dst, inv_deg, pe_term);
+void DirectedLayer::step(const CircuitGraph& g, int L, std::vector<Tensor>& states,
+                         const std::vector<Tensor>& x_lvl, Scratch* scratch) const {
+  const LevelBatch& batch = batch_at(g, L);
+  if (batch.empty()) return;
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
+  // A merged batch whose members skip this level when alone: step only the
+  // rows of members that do update here.
+  std::vector<int> rows;
+  if (batch.masked()) {
+    for (int r = 0; r < num_dst; ++r)
+      if (batch.update_rows[static_cast<std::size_t>(r)] != 0) rows.push_back(r);
+    if (rows.empty()) return;
+  }
+  if (!batch.masked() || static_cast<int>(rows.size()) == num_dst) {
+    const LevelConsts c = level_consts(g, L, scratch);
+    const Tensor m = agg_->forward(gather_batch_sources(states, batch, states[lvl].cols()),
+                                   states[lvl], batch.seg, num_dst, c.inv_deg, c.pe_term);
     states[lvl] = gru_.forward(m, states[lvl], refeed_ ? x_lvl[lvl] : Tensor());
     return;
   }
 
-  // Row subset: keep the edges feeding selected destinations, in stored
-  // order, so every selected row sees its complete message segment.
-  const int nsel = static_cast<int>(rows->size());
-  std::vector<int> rank(static_cast<std::size_t>(num_dst), -1);
-  for (int i = 0; i < nsel; ++i)
-    rank[static_cast<std::size_t>((*rows)[static_cast<std::size_t>(i)])] = i;
-  std::vector<int> seg;
-  std::vector<int> edges;
-  std::vector<Tensor> parts;
-  int e = 0;
-  for (const auto& group : batch.groups) {
-    std::vector<int> pos;
-    for (const int p : group.pos) {
-      const int r = rank[static_cast<std::size_t>(batch.seg[static_cast<std::size_t>(e)])];
-      if (r >= 0) {
-        pos.push_back(p);
-        seg.push_back(r);
-        edges.push_back(e);
-      }
-      ++e;
-    }
-    if (!pos.empty())
-      parts.push_back(nn::gather_rows(states[static_cast<std::size_t>(group.level)], pos));
-  }
-  const Tensor h_src = parts.empty()      ? nn::constant(nn::Matrix(0, states[lvl].cols()))
-                       : parts.size() == 1 ? parts[0]
-                                           : nn::concat_rows(parts);
-  if (pe_term.defined()) pe_term = nn::gather_rows(pe_term, edges);
-  const Tensor entry = nn::gather_rows(states[lvl], *rows);
-  const Tensor m = agg_->forward(h_src, entry, seg, nsel, nn::gather_rows(inv_deg, *rows), pe_term);
   const Tensor updated =
-      gru_.forward(m, entry, refeed_ ? nn::gather_rows(x_lvl[lvl], *rows) : Tensor());
-
+      step_rows(g, L, states, states[lvl], x_lvl, rows, select_edges(batch, num_dst, rows), scratch);
+  const int nsel = static_cast<int>(rows.size());
   // Unselected rows keep their value: an exact row select (no blending).
   if (nn::grad_enabled()) {
     std::vector<int> pick(static_cast<std::size_t>(num_dst));
-    for (int r = 0; r < num_dst; ++r) {
-      const int k = rank[static_cast<std::size_t>(r)];
-      pick[static_cast<std::size_t>(r)] = k >= 0 ? k : nsel + r;
-    }
+    for (int r = 0; r < num_dst; ++r) pick[static_cast<std::size_t>(r)] = nsel + r;
+    for (int i = 0; i < nsel; ++i) pick[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])] = i;
     states[lvl] = nn::gather_rows(nn::concat_rows({updated, states[lvl]}), pick);
     return;
   }
   nn::Matrix next = states[lvl].value();  // copy: other holders may share the entry tensor
   const int dim = next.cols();
-  for (int i = 0; i < nsel; ++i) {
-    const float* src = updated.value().row_ptr(i);
-    std::copy(src, src + dim, next.row_ptr((*rows)[static_cast<std::size_t>(i)]));
-  }
+  for (int i = 0; i < nsel; ++i)
+    std::copy_n(updated.value().row_ptr(i), dim, next.row_ptr(rows[static_cast<std::size_t>(i)]));
   states[lvl] = nn::constant(std::move(next));
+}
+
+Tensor DirectedLayer::step_rows(const CircuitGraph& g, int L, const std::vector<Tensor>& states,
+                                const Tensor& entry, const std::vector<Tensor>& x_lvl,
+                                const std::vector<int>& rows, const EdgeSelection& sel,
+                                Scratch* scratch) const {
+  const LevelBatch& batch = batch_at(g, L);
+  assert(!batch.empty() && !rows.empty());
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const LevelConsts c = level_consts(g, L, scratch);
+
+  // Source rows per group: the selected edges ascend, so they walk the
+  // groups (stored back to back) in order.
+  std::vector<std::vector<int>> pos(batch.groups.size());
+  std::size_t k = 0;
+  int group_begin = 0;
+  for (const int e : sel.edges) {
+    while (e >= group_begin + static_cast<int>(batch.groups[k].pos.size()))
+      group_begin += static_cast<int>(batch.groups[k++].pos.size());
+    pos[k].push_back(batch.groups[k].pos[static_cast<std::size_t>(e - group_begin)]);
+  }
+  std::vector<SourceRows> parts;
+  for (std::size_t j = 0; j < batch.groups.size(); ++j)
+    if (!pos[j].empty()) parts.push_back({batch.groups[j].level, &pos[j]});
+
+  const Tensor h_src = gather_sources(states, parts, entry.cols());
+  const Tensor pe_term = c.pe_term.defined() ? nn::gather_rows(c.pe_term, sel.edges) : Tensor();
+  const Tensor q = nn::gather_rows(entry, rows);
+  const Tensor m = agg_->forward(h_src, q, sel.seg, static_cast<int>(rows.size()),
+                                 nn::gather_rows(c.inv_deg, rows), pe_term);
+  return gru_.forward(m, q, refeed_ ? nn::gather_rows(x_lvl[lvl], rows) : Tensor());
 }
 
 void DirectedLayer::collect(nn::NamedParams& out, const std::string& prefix) const {

@@ -59,11 +59,15 @@ class IncrementalState {
   virtual ~IncrementalState() = default;
 };
 
-/// What one forward_incremental call actually did.
+/// What one forward_incremental call actually did. The two row counts are
+/// the per-query work of a partial run; both scale with the edit's cone,
+/// not the graph (mirrored as gnn.incremental.h0_rows / .rows_stepped).
 struct IncrementalRunStats {
   bool memo_hit = false;  ///< unchanged generation: outputs replayed, zero propagation
   bool partial = false;   ///< cone-limited re-propagation (vs full capture run)
   int dirty_nodes = 0;    ///< rows recomputed in the final sweep of a partial run
+  int h0_rows = 0;        ///< h0 rows drawn: the dirty seeds of a partial run
+  int rows_stepped = 0;   ///< rows the level step updated, summed over sweeps
 };
 
 class Model {
@@ -198,8 +202,22 @@ std::vector<nn::Tensor> init_level_states(const CircuitGraph& g, int dim, bool r
 /// Same for whole-graph models.
 nn::Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed);
 
+/// One h0 row of a single (unmerged) graph, written to dst[0, dim): row
+/// `row` of level `level` of init_level_states, or row `row` of
+/// init_full_state for level -1. `node` is the node the row belongs to.
+void init_state_row(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed,
+                    int level, int row, int node, float* dst);
+
 /// Stitch per-level states back into node order (N x d).
 nn::Tensor full_from_levels(const std::vector<nn::Tensor>& states, const CircuitGraph& g);
+
+/// The edges of one level batch that feed a subset of its destination
+/// rows, in stored order, so every selected row keeps its complete in-order
+/// message segment.
+struct EdgeSelection {
+  std::vector<int> edges;  ///< ascending edge indices into the batch
+  std::vector<int> seg;    ///< per selected edge: its destination's index in the subset
+};
 
 /// One directed propagation sweep (a "forward layer" or "reversed layer" of
 /// Fig. 2b): walks levels in topological (or reverse) order, aggregates
@@ -227,17 +245,28 @@ class DirectedLayer {
     std::vector<nn::Tensor> inv_deg;      ///< constant per level
   };
 
-  /// Level step: GRU-update rows of level L from messages gathered out of
-  /// `states`, the sweep's current per-level states. Level L's own state
-  /// still holds its sweep-entry value h^{t-1} here, which is both the GRU
-  /// hidden and the attention query of Eq. (5). `x_lvl` supplies the refed
-  /// gate-type features. `rows` lists ascending positions within level L;
-  /// nullptr means every row the batch updates (all of them, or the
-  /// update_rows of a masked merged level). Rows left out keep their value.
-  /// `scratch`, when given, must be used with one graph only.
+  /// Level step: GRU-update every row the level-L batch updates (all of
+  /// them, or the update_rows of a masked merged level) from messages
+  /// gathered out of `states`, the sweep's current per-level states, and
+  /// replace states[L]. Level L's own state still holds its sweep-entry
+  /// value h^{t-1} here, which is both the GRU hidden and the attention
+  /// query of Eq. (5). `x_lvl` supplies the refed gate-type features. Rows
+  /// a masked level leaves out keep their value. `scratch`, when given,
+  /// must be used with one graph only.
   void step(const CircuitGraph& g, int L, std::vector<nn::Tensor>& states,
-            const std::vector<nn::Tensor>& x_lvl, const std::vector<int>* rows,
-            Scratch* scratch) const;
+            const std::vector<nn::Tensor>& x_lvl, Scratch* scratch) const;
+
+  /// Row-subset level step: returns the updated states of the level-L rows
+  /// `rows` (ascending positions; rows.size() x d, in `rows` order) and
+  /// writes nothing. `sel` is the batch's edge selection for `rows`.
+  /// `entry` is level L's sweep-entry state h^{t-1}; message sources are
+  /// read from `states`, whose level-L slot is never read (every edge and
+  /// skip edge runs from a strictly lower level to a higher one). The batch
+  /// must be non-empty and `rows` non-empty.
+  nn::Tensor step_rows(const CircuitGraph& g, int L, const std::vector<nn::Tensor>& states,
+                       const nn::Tensor& entry, const std::vector<nn::Tensor>& x_lvl,
+                       const std::vector<int>& rows, const EdgeSelection& sel,
+                       Scratch* scratch) const;
 
   /// Calls fn(L) for every level this layer updates, in sweep order.
   template <class Fn>
@@ -247,6 +276,11 @@ class DirectedLayer {
     } else {
       for (int L = g.num_levels - 2; L >= 0; --L) fn(L);
     }
+  }
+
+  /// True when for_each_level visits level L.
+  bool visits(const CircuitGraph& g, int L) const {
+    return reversed_ ? L >= 0 && L <= g.num_levels - 2 : L >= 1 && L < g.num_levels;
   }
 
   bool reversed() const { return reversed_; }
@@ -265,6 +299,14 @@ class DirectedLayer {
   void quantize_bf16() { agg_->quantize_bf16(); }
 
  private:
+  /// The level's aggregator constants: the projected skip-edge encodings
+  /// (undefined without skip edges) and the inv_deg column.
+  struct LevelConsts {
+    nn::Tensor pe_term;
+    nn::Tensor inv_deg;
+  };
+  LevelConsts level_consts(const CircuitGraph& g, int L, Scratch* scratch) const;
+
   bool reversed_;
   bool use_skip_;
   bool refeed_;

@@ -65,6 +65,10 @@ class Tensor {
 
   std::shared_ptr<TapeNode> node() const { return node_; }
 
+  /// True when this handle is the only one on its node, so writing through
+  /// mutable_value() changes no other Tensor (the copy-on-write test).
+  bool sole_owner() const { return node_.use_count() == 1; }
+
  private:
   explicit Tensor(std::shared_ptr<TapeNode> node) : node_(std::move(node)) {}
   std::shared_ptr<TapeNode> node_;

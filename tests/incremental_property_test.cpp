@@ -2,7 +2,10 @@
 // stream drives an IncrementalSession and, after every applied edit, the
 // session's incremental outputs must be BITWISE identical to rebuilding the
 // graph from its defining fields and running the plain forward — for all
-// four model families, with the no-grad arena both on and off. Plus the
+// four model families, with the no-grad arena both on and off. A second,
+// local edit stream (small cones, mostly clean rows) also checks every memo
+// checkpoint against the rebuilt graph's, and a fixed one-node rewire
+// checks that the per-query work counters scale with the cone. Plus the
 // structural guarantees behind the memo: embed-then-predict on an unchanged
 // session performs exactly one level-loop forward, memo hits and misses are
 // counted for every family, and an over-budget memo degrades to full
@@ -19,24 +22,25 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <stdexcept>
 
 namespace {
 
 using dg::gnn::CircuitGraph;
 
-/// Random typed DAG with skip edges (same shape family as the graph-layer
-/// delta tests, independent of the AIG pipeline).
-CircuitGraph random_graph(int n, std::uint64_t seed) {
-  dg::util::Rng rng(seed);
-  CircuitGraph g;
-  g.num_nodes = n;
-  g.num_types = 3;
-  g.type_id.resize(static_cast<std::size_t>(n));
-  g.level.resize(static_cast<std::size_t>(n));
-  g.labels.assign(static_cast<std::size_t>(n), 0.5F);
-  for (int v = 0; v < n; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (v < 3 || rng.next_bool(0.2)) {
+/// Appends a random typed DAG of n nodes, with skip edges, to g's defining
+/// fields (same shape family as the graph-layer delta tests, independent of
+/// the AIG pipeline). Its edges never leave the appended nodes.
+void append_random_unit(CircuitGraph& g, int n, dg::util::Rng& rng) {
+  const int base = g.num_nodes;
+  g.num_nodes += n;
+  g.type_id.resize(static_cast<std::size_t>(g.num_nodes));
+  g.level.resize(static_cast<std::size_t>(g.num_nodes));
+  g.labels.resize(static_cast<std::size_t>(g.num_nodes), 0.5F);
+  for (int k = 0; k < n; ++k) {
+    const auto vi = static_cast<std::size_t>(base + k);
+    if (k < 3 || rng.next_bool(0.2)) {
       g.type_id[vi] = 0;
       g.level[vi] = 0;
       continue;
@@ -44,20 +48,27 @@ CircuitGraph random_graph(int n, std::uint64_t seed) {
     const int arity = 1 + static_cast<int>(rng.next_below(2));
     g.type_id[vi] = arity == 1 ? 2 : 1;
     int max_level = -1;
-    for (int k = 0; k < arity; ++k) {
-      const int src = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v)));
-      g.edges.emplace_back(src, v);
+    for (int a = 0; a < arity; ++a) {
+      const int src = base + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(k)));
+      g.edges.emplace_back(src, base + k);
       max_level = std::max(max_level, g.level[static_cast<std::size_t>(src)]);
     }
     g.level[vi] = max_level + 1;
   }
-  for (int v = 0; v < n; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
+  for (int k = 0; k < n; ++k) {
+    const auto vi = static_cast<std::size_t>(base + k);
     if (g.level[vi] < 2 || !rng.next_bool(0.25)) continue;
-    const int src = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v)));
+    const int src = base + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(k)));
     const int diff = g.level[vi] - g.level[static_cast<std::size_t>(src)];
-    if (diff >= 2) g.skip_edges.push_back({src, v, diff});
+    if (diff >= 2) g.skip_edges.push_back({src, base + k, diff});
   }
+}
+
+CircuitGraph random_graph(int n, std::uint64_t seed) {
+  dg::util::Rng rng(seed);
+  CircuitGraph g;
+  g.num_types = 3;
+  append_random_unit(g, n, rng);
   g.finalize();
   return g;
 }
@@ -178,6 +189,225 @@ INSTANTIATE_TEST_SUITE_P(ArenaOnOff, IncrementalFuzz, ::testing::Values(true, fa
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "ArenaOn" : "ArenaOff";
                          });
+
+/// Many small disconnected units: a local edit's cone stays inside one.
+struct BlockGraph {
+  CircuitGraph graph;
+  std::vector<int> unit;  ///< unit of every node
+};
+
+BlockGraph block_graph(int units, int unit_nodes, std::uint64_t seed) {
+  dg::util::Rng rng(seed);
+  BlockGraph b;
+  b.graph.num_types = 3;
+  for (int u = 0; u < units; ++u) {
+    append_random_unit(b.graph, unit_nodes, rng);
+    b.unit.resize(static_cast<std::size_t>(b.graph.num_nodes), u);
+  }
+  b.graph.finalize();
+  return b;
+}
+
+const dg::gnn::LevelMemo& memo_of(const deepgate::IncrementalSession& session) {
+  const auto* state = dynamic_cast<const dg::gnn::MemoState*>(session.incremental_state());
+  if (state == nullptr) throw std::logic_error("session has no LevelMemo");
+  return state->memo;
+}
+
+/// Every memo checkpoint (all sweeps, all levels) against the checkpoints a
+/// full forward over `fresh` records (run_sweeps with checkpoints, the
+/// first query of a new session).
+void expect_checkpoints_match(const deepgate::Engine& engine,
+                              const deepgate::IncrementalSession& session,
+                              const CircuitGraph& fresh) {
+  deepgate::IncrementalSession ref(engine, fresh);
+  engine.predict_incremental(ref);
+  const dg::gnn::LevelMemo& got = memo_of(session);
+  const dg::gnn::LevelMemo& want = memo_of(ref);
+  ASSERT_TRUE(got.has_checkpoints);
+  ASSERT_TRUE(want.has_checkpoints);
+  ASSERT_EQ(got.checkpoints.size(), want.checkpoints.size());
+  for (std::size_t s = 0; s < want.checkpoints.size(); ++s) {
+    ASSERT_EQ(got.checkpoints[s].size(), want.checkpoints[s].size()) << "checkpoint " << s;
+    for (std::size_t L = 0; L < want.checkpoints[s].size(); ++L) {
+      SCOPED_TRACE("checkpoint " + std::to_string(s) + " level " + std::to_string(L));
+      expect_bitwise(got.checkpoints[s][L].value(), want.checkpoints[s][L].value(), "checkpoint");
+    }
+  }
+}
+
+/// A local edit stream shaped like a real editing session: gates appended
+/// at their level's last position, removed last-in-first-out, and fanins
+/// rewired to another node of the same unit and level, so no edit moves
+/// another node's (level, position) and the dirty cone stays in one unit.
+/// Original nodes keep their ids and levels throughout. One gate goes on a
+/// new top level and comes off again (a level-count change both ways).
+/// After every query, the outputs and every memo checkpoint must equal a
+/// rebuilt graph's bitwise.
+void fuzz_local_edits(dg::gnn::ModelFamily family, bool arena_on, std::uint64_t seed) {
+  SCOPED_TRACE(std::string(dg::gnn::model_family_name(family)) +
+               (arena_on ? " arena=on" : " arena=off"));
+  const bool arena_before = dg::nn::arena_enabled();
+  dg::nn::arena_set_enabled(arena_on);
+
+  const BlockGraph block = block_graph(20, 15, seed);
+  const CircuitGraph& g0 = block.graph;
+  std::map<std::pair<int, int>, std::vector<int>> peers;  // (unit, level) -> nodes
+  std::vector<int> ands;
+  for (int v = 0; v < g0.num_nodes; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    peers[{block.unit[vi], g0.level[vi]}].push_back(v);
+  }
+  const std::vector<std::vector<int>> fanins0 = g0.fanin_lists();
+  for (int v = 0; v < g0.num_nodes; ++v)
+    if (fanins0[static_cast<std::size_t>(v)].size() == 2) ands.push_back(v);
+  ASSERT_FALSE(ands.empty());
+
+  const deepgate::Engine engine(small_options(family));
+  deepgate::IncrementalSession session(engine, g0);
+  engine.predict_incremental(session);
+  dg::util::Rng rng(seed * 31 + 7);
+  std::vector<int> inserted;
+  double dirty_share = 0.0;
+  int queries = 0;
+  for (int step = 0; step < 30; ++step) {
+    const CircuitGraph& g = session.graph();
+    const double pick = rng.next_double();
+    if (step == 10) {
+      // New top level: a NOT on a node of the current top level.
+      const int top = g.nodes_at_level[static_cast<std::size_t>(g.num_levels - 1)].front();
+      const int levels_before = g.num_levels;
+      inserted.push_back(session.insert_node(2, {top}));
+      EXPECT_EQ(session.graph().num_levels, levels_before + 1);
+    } else if ((step == 11 || pick < 0.25) && !inserted.empty()) {
+      const int levels_before = g.num_levels;
+      session.delete_node(inserted.back());
+      inserted.pop_back();
+      if (step == 11) {
+        EXPECT_EQ(session.graph().num_levels, levels_before - 1);
+      }
+    } else if (pick < 0.6) {
+      const int u = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(g0.num_nodes)));
+      const auto ui = static_cast<std::size_t>(u);
+      const std::vector<int>& same = peers.at({block.unit[ui], g0.level[ui]});
+      const int w = same[rng.next_below(same.size())];
+      if (w != u && rng.next_bool()) {
+        inserted.push_back(session.insert_node(1, {u, w}));
+      } else {
+        inserted.push_back(session.insert_node(2, {u}));
+      }
+    } else {
+      const int v = ands[rng.next_below(ands.size())];
+      std::vector<int> fanins = g.fanin_lists()[static_cast<std::size_t>(v)];
+      const std::size_t slot = rng.next_below(2);
+      const auto old = static_cast<std::size_t>(fanins[slot]);
+      const std::vector<int>& same = peers.at({block.unit[old], g0.level[old]});
+      const int next = same[rng.next_below(same.size())];
+      if (next == fanins[0] || next == fanins[1]) continue;  // no-op draw
+      fanins[slot] = next;
+      session.rewire_node(v, fanins);  // same level as the old fanin: acyclic
+    }
+
+    const CircuitGraph fresh = rebuild(session.graph());
+    expect_bitwise(engine.predict_incremental(session), engine.predict_probabilities(fresh),
+                   "prediction");
+    const dg::gnn::IncrementalRunStats stats = session.last_stats();
+    EXPECT_TRUE(stats.partial);
+    dirty_share += static_cast<double>(stats.dirty_nodes) / session.graph().num_nodes;
+    ++queries;
+    expect_checkpoints_match(engine, session, fresh);
+    expect_bitwise(engine.embeddings_incremental(session), engine.embeddings(fresh),
+                   "embedding");
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first divergence at step " << step;
+      break;
+    }
+  }
+  EXPECT_GE(queries, 20);
+  // The stream is local: the in-place path must mostly keep clean rows.
+  EXPECT_LT(dirty_share / std::max(queries, 1), 0.15);
+  dg::nn::arena_set_enabled(arena_before);
+}
+
+class LocalEditFuzz : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LocalEditFuzz, DeepGateCheckpointsMatchFromScratch) {
+  fuzz_local_edits(dg::gnn::ModelFamily::kDeepGate, GetParam(), 41);
+}
+TEST_P(LocalEditFuzz, DagRecCheckpointsMatchFromScratch) {
+  fuzz_local_edits(dg::gnn::ModelFamily::kDagRec, GetParam(), 42);
+}
+TEST_P(LocalEditFuzz, DagConvCheckpointsMatchFromScratch) {
+  fuzz_local_edits(dg::gnn::ModelFamily::kDagConv, GetParam(), 43);
+}
+TEST_P(LocalEditFuzz, GcnCheckpointsMatchFromScratch) {
+  fuzz_local_edits(dg::gnn::ModelFamily::kGcn, GetParam(), 44);
+}
+
+INSTANTIATE_TEST_SUITE_P(ArenaOnOff, LocalEditFuzz, ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ArenaOn" : "ArenaOff";
+                         });
+
+/// Fixed unit for the cone-work counters: PIs p0 p1 p2; a = AND(p0, p1),
+/// b = AND(p1, p2), e = AND(p0, p2) on level 1; c = AND(a, b); d = NOT(c).
+CircuitGraph fixed_blocks(int units) {
+  CircuitGraph g;
+  g.num_types = 3;
+  for (int u = 0; u < units; ++u) {
+    const int o = g.num_nodes;
+    g.type_id.insert(g.type_id.end(), {0, 0, 0, 1, 1, 1, 1, 2});
+    g.level.insert(g.level.end(), {0, 0, 0, 1, 1, 1, 2, 3});
+    for (const auto& [src, dst] : std::vector<std::pair<int, int>>{
+             {0, 3}, {1, 3}, {1, 4}, {2, 4}, {0, 5}, {2, 5}, {3, 6}, {4, 6}, {6, 7}})
+      g.edges.emplace_back(o + src, o + dst);
+    g.num_nodes += 8;
+  }
+  g.labels.assign(static_cast<std::size_t>(g.num_nodes), 0.5F);
+  g.finalize();
+  return g;
+}
+
+// Per-query work scales with the cone, not the graph: rewiring c's fanin b
+// to e seeds exactly {c, b, e} (c's fanins, b's and e's fanouts changed),
+// so exactly three h0 rows are drawn, and the rows the level step updates
+// stay within sweeps x dirty nodes — the same count at 10 units and 40.
+TEST(IncrementalWork, OneNodeRewireScalesWithTheCone) {
+  const bool metrics_before = dg::obs::metrics_enabled();
+  dg::obs::metrics_set_enabled(true);
+  const dg::obs::Counter& h0_counter = dg::obs::counter("gnn.incremental.h0_rows");
+  const dg::obs::Counter& stepped_counter = dg::obs::counter("gnn.incremental.rows_stepped");
+  const deepgate::Options options = small_options(dg::gnn::ModelFamily::kDeepGate);
+  const int sweeps = 2 * options.model.iterations;  // forward + reversed per iteration
+  const deepgate::Engine engine(options);
+
+  std::vector<int> stepped;
+  for (const int units : {10, 40}) {
+    SCOPED_TRACE(std::to_string(units) + " units");
+    deepgate::IncrementalSession session(engine, fixed_blocks(units));
+    engine.predict_incremental(session);
+    const int c = 8 * 3 + 6;  // node c of unit 3
+    session.rewire_node(c, {c - 3, c - 1});  // (a, b) -> (a, e)
+
+    const std::uint64_t h0_before = h0_counter.value();
+    const std::uint64_t stepped_before = stepped_counter.value();
+    const CircuitGraph fresh = rebuild(session.graph());
+    expect_bitwise(engine.predict_incremental(session), engine.predict_probabilities(fresh),
+                   "prediction");
+    const dg::gnn::IncrementalRunStats st = session.last_stats();
+    ASSERT_TRUE(st.partial);
+    EXPECT_EQ(st.h0_rows, 3);
+    EXPECT_GT(st.rows_stepped, 0);
+    EXPECT_LE(st.dirty_nodes, 8);  // inside the edited unit
+    EXPECT_LE(st.rows_stepped, sweeps * st.dirty_nodes);
+    EXPECT_EQ(h0_counter.value() - h0_before, 3U);
+    EXPECT_EQ(stepped_counter.value() - stepped_before,
+              static_cast<std::uint64_t>(st.rows_stepped));
+    stepped.push_back(st.rows_stepped);
+  }
+  EXPECT_EQ(stepped[0], stepped[1]);
+  dg::obs::metrics_set_enabled(metrics_before);
+}
 
 // The memo driver counts every query that reaches a memo: a replayed
 // generation is a hit, anything that propagates is a miss — for the GCN

@@ -78,6 +78,16 @@ struct Shape {
   int m, k, n;
 };
 
+/// RAII: force the fast-math overlay, restore the previous setting on exit.
+class ScopedFastMath {
+ public:
+  explicit ScopedFastMath(bool on) : prev_(simd::set_fast_math(on)) {}
+  ~ScopedFastMath() { simd::set_fast_math(prev_); }
+
+ private:
+  bool prev_;
+};
+
 const Shape kShapes[] = {
     {1, 1, 1},   {2, 3, 5},   {7, 13, 17}, {4, 8, 33},  {3, 5, 64},
     {5, 64, 96}, {1, 12, 40}, {9, 7, 31},  {6, 16, 16}, {2, 10, 100},
@@ -85,6 +95,10 @@ const Shape kShapes[] = {
 };
 
 TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
+  // The bitwise contract is the non-overlay one: pin the FMA overlay off so
+  // a DEEPGATE_FAST_MATH=on environment cannot opt this case out of it (the
+  // overlay's tolerance cases below check that lane).
+  ScopedFastMath fm(false);
   const auto levels = runnable_levels();
   util::Rng rng(101);
   for (const Shape& s : kShapes) {
@@ -115,6 +129,10 @@ TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
 }
 
 TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
+  // The bitwise contract is the non-overlay one: pin the FMA overlay off so
+  // a DEEPGATE_FAST_MATH=on environment cannot opt this case out of it (the
+  // overlay's tolerance cases below check that lane).
+  ScopedFastMath fm(false);
   const auto levels = runnable_levels();
   util::Rng rng(202);
   for (const int n : {1, 7, 8, 9, 31, 64, 100, 1000}) {
@@ -363,6 +381,10 @@ TEST(KernelDispatch, Bf16RoundTripAndRounding) {
 // shadow is bitwise the same as serving fp32 weights that sit on the bf16
 // grid — on every backend, every shape, every thread count covered above.
 TEST(KernelDispatch, MatmulBf16EqualsRoundedFp32Bitwise) {
+  // The bitwise contract is the non-overlay one: pin the FMA overlay off so
+  // a DEEPGATE_FAST_MATH=on environment cannot opt this case out of it (the
+  // overlay's tolerance cases below check that lane).
+  ScopedFastMath fm(false);
   util::Rng rng(606);
   for (const Shape& s : kShapes) {
     const Matrix a = salted(s.m, s.k, rng, 41);
@@ -456,16 +478,6 @@ TEST(KernelDispatch, EngineBf16AccuracyAndCloneParity) {
   for (std::size_t i = 0; i < p_bf16.size(); ++i)
     EXPECT_EQ(p_bf16[i], clone_pred.at(static_cast<int>(i), 0)) << i;
 }
-
-/// RAII: force the fast-math overlay, restore the previous setting on exit.
-class ScopedFastMath {
- public:
-  explicit ScopedFastMath(bool on) : prev_(simd::set_fast_math(on)) {}
-  ~ScopedFastMath() { simd::set_fast_math(prev_); }
-
- private:
-  bool prev_;
-};
 
 // The DEEPGATE_FAST_MATH overlay must be strictly opt-in, ride the avx2
 // level only, and leave scalar/generic untouched.

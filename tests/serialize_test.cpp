@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include "gnn/circuit_graph.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
@@ -162,6 +163,44 @@ TEST(Serialize, TruncatedPayloadFails) {
   EXPECT_TRUE(load_params(whole, params));
   EXPECT_EQ(params[0].second.value().at(1, 2), 0.5F);
   std::remove(whole.c_str());
+}
+
+/// Defining fields of a 4-node graph: PIs 0 and 1 on level 0, gates 2 and 3
+/// on level 1, plus `extra` edges. Not finalized: only serialize() reads it.
+gnn::CircuitGraph four_node_graph(std::vector<std::pair<int, int>> extra) {
+  gnn::CircuitGraph g;
+  g.num_nodes = 4;
+  g.num_types = 3;
+  g.type_id = {0, 0, 1, 1};
+  g.level = {0, 0, 1, 1};
+  g.edges = {{0, 2}, {1, 3}};
+  g.edges.insert(g.edges.end(), extra.begin(), extra.end());
+  g.labels.assign(4, 0.5F);
+  return g;
+}
+
+bool parses(const gnn::CircuitGraph& g) {
+  std::vector<std::uint8_t> bytes;
+  g.serialize(bytes);
+  gnn::CircuitGraph out;
+  std::size_t offset = 0;
+  return gnn::CircuitGraph::deserialize(bytes.data(), bytes.size(), offset, out);
+}
+
+// A graph whose edges do not all run upward in level has no level-sweep
+// forward: a same-level 2 <-> 3 cycle, a same-level edge and a downward
+// edge must all be rejected, as must a same-level skip edge.
+TEST(SerializeGraph, RejectsEdgesNotStrictlyUpward) {
+  EXPECT_TRUE(parses(four_node_graph({})));
+  EXPECT_FALSE(parses(four_node_graph({{2, 3}, {3, 2}})));
+  EXPECT_FALSE(parses(four_node_graph({{2, 3}})));
+  EXPECT_FALSE(parses(four_node_graph({{3, 0}})));
+
+  gnn::CircuitGraph skip = four_node_graph({});
+  skip.skip_edges.push_back({2, 3, 0});
+  EXPECT_FALSE(parses(skip));
+  skip.skip_edges.back() = {0, 3, 1};
+  EXPECT_TRUE(parses(skip));
 }
 
 }  // namespace

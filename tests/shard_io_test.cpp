@@ -190,6 +190,34 @@ TEST(ShardIo, RejectsPayloadCorruption) {
   fs::remove_all(dir);
 }
 
+// A record whose graph has a same-level edge cycle passes the checksum
+// (the writer stored exactly those bytes) but not the graph parser: the
+// reader stops at it with kCorrupt instead of handing out a graph with no
+// level-sweep forward.
+TEST(ShardIo, RejectsSameLevelEdgeCycle) {
+  const fs::path dir = temp_dir();
+  const std::string path = (dir / "cycle.dgsh").string();
+  gnn::CircuitGraph g;
+  g.num_nodes = 4;
+  g.num_types = 3;
+  g.type_id = {0, 0, 1, 1};
+  g.level = {0, 0, 1, 1};
+  g.edges = {{0, 2}, {1, 3}, {2, 3}, {3, 2}};
+  g.labels.assign(4, 0.5F);
+  std::vector<ShardRecord> records = golden_records();
+  records.push_back({g, {"cycle", 4, 2}});
+  ASSERT_TRUE(write_shard(path, 1, 1, 0, records));
+
+  ShardReader reader;
+  ASSERT_EQ(reader.open(path), ShardError::kNone);
+  ShardRecord rec;
+  EXPECT_TRUE(reader.next(rec));
+  EXPECT_TRUE(reader.next(rec));
+  EXPECT_FALSE(reader.next(rec));
+  EXPECT_EQ(reader.error(), ShardError::kCorrupt);
+  fs::remove_all(dir);
+}
+
 TEST(ShardIo, MissingFileIsIoError) {
   ShardReader reader;
   EXPECT_EQ(reader.open("/nonexistent/definitely_missing.dgsh"), ShardError::kIo);
