@@ -438,4 +438,9 @@ Matrix row_dot(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+void popcount_rows(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                   std::size_t k, std::uint64_t last_mask, std::uint64_t* ones) {
+  backend().popcount_rows(words, rows, stride, k, last_mask, ones);
+}
+
 }  // namespace dg::nn::kern

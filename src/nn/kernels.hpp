@@ -15,6 +15,7 @@
 #include "nn/matrix.hpp"
 #include "nn/simd/bf16.hpp"
 
+#include <cstdint>
 #include <vector>
 
 namespace dg::nn::kern {
@@ -129,5 +130,13 @@ struct GruWeights {
 /// per-element, and sigmoid/tanh values do not depend on their position in
 /// a range, so the row tiling cannot change a value.
 Matrix gru_step(const Matrix& x0, const Matrix* x1, const Matrix& h, const GruWeights& w);
+
+/// Ones-counts of bit-parallel simulation words: ones[r] += the set bits of
+/// words[r * stride + j] for j < k, the last word (j == k - 1) ANDed with
+/// last_mask first. Runs on the calling thread (callers partition the
+/// patterns). Integer sums, so every backend gives the same counts; avx2
+/// uses the hardware popcnt instruction.
+void popcount_rows(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                   std::size_t k, std::uint64_t last_mask, std::uint64_t* ones);
 
 }  // namespace dg::nn::kern

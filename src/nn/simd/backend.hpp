@@ -62,6 +62,12 @@ struct KernelBackend {
   /// bound + position-invariance contract. Powers the segment softmax.
   void (*exp_n)(float* c, const float* a, std::size_t n);
   void (*copy_n)(float* dst, const float* src, std::size_t n);
+
+  /// ones[r] += set bits of words[r * stride + j] for j < k, the word at
+  /// j == k - 1 ANDed with last_mask first. Integer sums, so every backend
+  /// is exactly equal; avx2 uses the hardware popcnt instruction.
+  void (*popcount_rows)(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                        std::size_t k, std::uint64_t last_mask, std::uint64_t* ones);
 };
 
 /// The reference oracle: the pre-dispatch scalar loops, verbatim.
@@ -103,6 +109,8 @@ void sigmoid_n(float* c, const float* a, std::size_t n);
 void tanh_n(float* c, const float* a, std::size_t n);
 void exp_n(float* c, const float* a, std::size_t n);
 void copy_n(float* dst, const float* src, std::size_t n);
+void popcount_rows(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                   std::size_t k, std::uint64_t last_mask, std::uint64_t* ones);
 }  // namespace scalar_workers
 
 }  // namespace dg::nn::kern

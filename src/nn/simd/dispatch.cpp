@@ -13,10 +13,11 @@ namespace {
 
 bool cpu_has_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
-  // Both bits: the AVX2 TU is compiled with -mavx2 -mfma, so the compiler
-  // may emit FMA for intrinsic-adjacent scaffolding even though the kernels
-  // themselves use mul+add.
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  // All three bits: the AVX2 TU is compiled with -mavx2 -mfma, so the
+  // compiler may emit FMA for intrinsic-adjacent scaffolding even though the
+  // kernels themselves use mul+add, and -mavx2 turns on popcnt.
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("popcnt");
 #else
   return false;
 #endif

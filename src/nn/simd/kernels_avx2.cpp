@@ -329,6 +329,21 @@ void exp_n_avx2(float* c, const float* a, std::size_t n) {
   map_tail(c, a, i, n, [](__m256 x) { return exp256(x); });
 }
 
+// The oracle's loop, but -mavx2 also enables the popcnt instruction, which
+// the baseline-ISA std::popcount cannot use. The builtin (not std::popcount)
+// keeps an AVX2-compiled inline copy out of COMDAT selection.
+void popcount_rows_avx2(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                        std::size_t k, std::uint64_t last_mask, std::uint64_t* ones) {
+  if (k == 0) return;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = words + r * stride;
+    std::uint64_t n = static_cast<std::uint64_t>(__builtin_popcountll(row[k - 1] & last_mask));
+    for (std::size_t j = 0; j + 1 < k; ++j)
+      n += static_cast<std::uint64_t>(__builtin_popcountll(row[j]));
+    ones[r] += n;
+  }
+}
+
 }  // namespace
 
 const KernelBackend* avx2_backend() {
@@ -349,6 +364,7 @@ const KernelBackend* avx2_backend() {
       &tanh_n_avx2,
       &exp_n_avx2,
       &copy_n_avx2,
+      &popcount_rows_avx2,
   };
   return &table;
 }

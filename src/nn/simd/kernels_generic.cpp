@@ -94,6 +94,7 @@ const KernelBackend& generic_backend() {
       &scalar_workers::tanh_n,
       &scalar_workers::exp_n,
       &scalar_workers::copy_n,
+      &scalar_workers::popcount_rows,
   };
   return table;
 }

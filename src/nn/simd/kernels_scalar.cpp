@@ -16,6 +16,7 @@
 
 #include "nn/simd/bf16.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace dg::nn::kern {
@@ -117,6 +118,17 @@ void copy_n(float* dst, const float* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
+void popcount_rows(const std::uint64_t* words, std::size_t rows, std::size_t stride,
+                   std::size_t k, std::uint64_t last_mask, std::uint64_t* ones) {
+  if (k == 0) return;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = words + r * stride;
+    std::uint64_t n = static_cast<std::uint64_t>(std::popcount(row[k - 1] & last_mask));
+    for (std::size_t j = 0; j + 1 < k; ++j) n += static_cast<std::uint64_t>(std::popcount(row[j]));
+    ones[r] += n;
+  }
+}
+
 }  // namespace scalar_workers
 
 const KernelBackend& scalar_backend() {
@@ -137,6 +149,7 @@ const KernelBackend& scalar_backend() {
       &scalar_workers::tanh_n,
       &scalar_workers::exp_n,
       &scalar_workers::copy_n,
+      &scalar_workers::popcount_rows,
   };
   return table;
 }

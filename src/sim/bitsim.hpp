@@ -1,6 +1,6 @@
 // 64-way bit-parallel logic simulation over the three circuit forms (AIG,
 // explicit gate graph, generic netlist). One call evaluates 64 patterns; the
-// probability estimators in probability.hpp drive these in blocks.
+// tiled estimators in probability.hpp are tested against these.
 #pragma once
 
 #include "aig/aig.hpp"

@@ -3,15 +3,10 @@
 // 6 + 58 inputs with the standard striping trick.
 #pragma once
 
-#include "util/rng.hpp"
-
 #include <cstdint>
-#include <vector>
+#include <cstddef>
 
 namespace dg::sim {
-
-/// One random 64-pattern word per input.
-std::vector<std::uint64_t> random_pattern_word(std::size_t num_inputs, util::Rng& rng);
 
 /// Word for input `input_idx` within exhaustive block `block_idx`, where all
 /// 2^num_inputs assignments are laid out as consecutive bits across blocks.

@@ -10,7 +10,8 @@
 //    generic, which keeps libm);
 //  * bf16: exact decode, round-to-nearest-even, and the key guarantee
 //    matmul_bf16(a, to_bf16(w)) == matmul(a, bf16_round(w)) bitwise;
-//  * Engine-level bf16 inference within a measured accuracy bound of fp32.
+//  * Engine-level bf16 inference within a measured accuracy bound of fp32;
+//  * popcount_rows: the oracle's exact ones-counts on the simulator's tiles.
 //
 // The CI kernel-dispatch matrix re-runs this suite with DEEPGATE_SIMD set to
 // each level, so the dispatcher's env path is proven too, not just
@@ -28,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -184,6 +186,44 @@ TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
       expect_bitwise(concat_cols(a, b), w_concat, "concat_cols " + tag);
       expect_bitwise(slice_cols(a, n / 3, n), w_slice, "slice_cols " + tag);
       expect_bitwise(col_sum(a), w_colsum, "col_sum " + tag);
+    }
+  }
+}
+
+// popcount_rows: every level gives the scalar oracle's counts, over the
+// simulator's tile shapes (stride K = 16 words, k in {1, K-1, K}) and the
+// masks its last block uses. The oracle itself is checked on all-ones and
+// all-zero words, where the count is known in closed form.
+TEST(KernelDispatch, PopcountRowsMatchesScalarOracle) {
+  constexpr std::size_t kStride = 16;
+  const auto levels = runnable_levels();
+  util::Rng rng(404);
+  for (const std::size_t rows : {0, 1, 7, 33}) {
+    for (const std::uint64_t fill : {0ULL, ~0ULL, 1ULL}) {  // 1: random words
+      std::vector<std::uint64_t> words(rows * kStride + 1);
+      for (auto& w : words) w = fill == 1ULL ? rng.next_u64() : fill;
+      for (const std::size_t k : {std::size_t{1}, kStride - 1, kStride}) {
+        for (const std::uint64_t mask : {~0ULL, 0x1ULL, ~0ULL >> 1}) {
+          const std::string tag = "rows=" + std::to_string(rows) + " k=" + std::to_string(k) +
+                                  " fill=" + std::to_string(fill) + " mask=" + std::to_string(mask);
+          std::vector<std::uint64_t> want(rows, 3);  // the kernel accumulates
+          {
+            ScopedLevel scalar(SimdLevel::kScalar);
+            popcount_rows(words.data(), rows, kStride, k, mask, want.data());
+          }
+          if (fill != 1ULL) {
+            const std::uint64_t per_row =
+                fill == 0 ? 0 : 64 * (k - 1) + static_cast<std::uint64_t>(std::popcount(mask));
+            for (std::uint64_t n : want) EXPECT_EQ(n, 3 + per_row) << "oracle " << tag;
+          }
+          for (SimdLevel l : levels) {
+            ScopedLevel level(l);
+            std::vector<std::uint64_t> got(rows, 3);
+            popcount_rows(words.data(), rows, kStride, k, mask, got.data());
+            EXPECT_EQ(got, want) << simd::level_name(l) << " " << tag;
+          }
+        }
+      }
     }
   }
 }
