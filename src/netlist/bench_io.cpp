@@ -126,51 +126,95 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
       set_error(error, "gate with no fanins: " + line);
       return std::nullopt;
     }
+    if ((pg.type == GateType::kNot || pg.type == GateType::kBuf) && pg.fanin_names.size() != 1) {
+      set_error(error, "NOT and BUF take one fanin: " + line);
+      return std::nullopt;
+    }
     pending.push_back(std::move(pg));
   }
 
-  // Two-pass resolution so definitions can appear in any order: repeatedly
-  // emit gates whose fanins are all defined. A stuck iteration means a cycle
-  // or an undefined signal.
-  Netlist nl;
-  std::unordered_map<std::string, int> id_of;
-  for (const auto& n : input_names) id_of[n] = nl.add_input(n);
-
-  std::vector<bool> emitted(pending.size(), false);
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    bool progress = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (emitted[i]) continue;
-      const auto& pg = pending[i];
-      bool ready = true;
-      for (const auto& fn : pg.fanin_names)
-        if (id_of.find(fn) == id_of.end()) {
-          ready = false;
-          break;
-        }
-      if (!ready) continue;
-      std::vector<int> fanins;
-      fanins.reserve(pg.fanin_names.size());
-      for (const auto& fn : pg.fanin_names) fanins.push_back(id_of[fn]);
-      id_of[pg.name] = nl.add_gate(pg.type, std::move(fanins), pg.name);
-      emitted[i] = true;
-      --remaining;
-      progress = true;
-    }
-    if (!progress) {
-      set_error(error, "cyclic or undefined signal in netlist");
+  // Name ids: def[id] is the index of the pending gate defining the name,
+  // kInput, or kUndefined.
+  constexpr int kUndefined = -1, kInput = -2;
+  std::unordered_map<std::string, std::size_t> id_of;
+  std::vector<int> def;
+  const auto intern = [&](const std::string& name) {
+    const auto [it, fresh] = id_of.emplace(name, def.size());
+    if (fresh) def.push_back(kUndefined);
+    return it->second;
+  };
+  for (const auto& name : input_names) {
+    const std::size_t id = intern(name);
+    if (def[id] == kInput) {
+      set_error(error, "duplicate input: " + name);
       return std::nullopt;
     }
+    def[id] = kInput;
+  }
+  const std::size_t n = pending.size();
+  std::vector<std::size_t> self(n);
+  std::vector<std::vector<std::size_t>> fanin_ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    self[i] = intern(pending[i].name);
+    if (def[self[i]] != kUndefined) {
+      set_error(error, (def[self[i]] == kInput ? "input redefined by a gate: "
+                                               : "signal defined twice: ") + pending[i].name);
+      return std::nullopt;
+    }
+    def[self[i]] = static_cast<int>(i);
+    for (const auto& fn : pending[i].fanin_names) fanin_ids[i].push_back(intern(fn));
   }
 
-  for (const auto& n : output_names) {
-    auto it = id_of.find(n);
-    if (it == id_of.end()) {
-      set_error(error, "undefined output: " + n);
+  // Kahn queue over the gates, so resolution is linear in the text. It also
+  // finds the pass in which rescanning the file until no gate resolves would
+  // emit each gate, pass[i] = max(1, pass[j] + (j > i)) over the gates j
+  // defining its fanins, and emits by (pass, line): that rescan's order, so a
+  // file already in topological order keeps its order. A gate never queued
+  // reads a cycle or an undefined name.
+  std::vector<std::vector<std::size_t>> readers(def.size());  // gates reading each name
+  std::vector<std::size_t> waiting(n, 0), queue;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t f : fanin_ids[i])
+      if (def[f] != kInput) {
+        readers[f].push_back(i);
+        ++waiting[i];
+      }
+    if (waiting[i] == 0) queue.push_back(i);
+  }
+  std::vector<std::size_t> pass(n, 1);
+  std::size_t max_pass = 1;
+  for (std::size_t q = 0; q < queue.size(); ++q) {
+    const std::size_t j = queue[q];
+    max_pass = std::max(max_pass, pass[j]);
+    for (std::size_t i : readers[self[j]]) {
+      pass[i] = std::max(pass[i], pass[j] + (j > i ? 1 : 0));
+      if (--waiting[i] == 0) queue.push_back(i);
+    }
+  }
+  if (queue.size() != n) {
+    set_error(error, "cyclic or undefined signal in netlist");
+    return std::nullopt;
+  }
+  std::vector<std::vector<std::size_t>> by_pass(max_pass + 1);
+  for (std::size_t i = 0; i < n; ++i) by_pass[pass[i]].push_back(i);
+
+  Netlist nl;
+  std::vector<int> node_of(def.size(), -1);  // netlist gate per name id
+  for (const auto& name : input_names) node_of[id_of[name]] = nl.add_input(name);
+  for (const auto& gates : by_pass)
+    for (std::size_t i : gates) {
+      std::vector<int> fanins;
+      for (std::size_t f : fanin_ids[i]) fanins.push_back(node_of[f]);
+      node_of[self[i]] = nl.add_gate(pending[i].type, std::move(fanins), pending[i].name);
+    }
+
+  for (const auto& name : output_names) {
+    const auto it = id_of.find(name);
+    if (it == id_of.end() || node_of[it->second] < 0) {
+      set_error(error, "undefined output: " + name);
       return std::nullopt;
     }
-    nl.mark_output(it->second);
+    nl.mark_output(node_of[it->second]);
   }
   return nl;
 }

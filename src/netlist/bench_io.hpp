@@ -16,9 +16,10 @@ namespace dg::netlist {
 std::string write_bench(const Netlist& nl);
 bool write_bench_file(const Netlist& nl, const std::string& path);
 
-/// Parse .bench text. Gate definitions may appear in any order (two-pass
-/// resolution); unknown gate types or undefined signals fail with a message
-/// in `error`.
+/// Parse .bench text. Gate definitions may appear in any order (resolved in
+/// linear time); unknown gate types, undefined signals, cycles, a NOT or BUF
+/// with other than one fanin, and a signal or input defined twice fail with
+/// a message in `error`.
 std::optional<Netlist> read_bench(const std::string& text, std::string* error = nullptr);
 std::optional<Netlist> read_bench_file(const std::string& path, std::string* error = nullptr);
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
 namespace dg::netlist {
 namespace {
 
@@ -55,6 +59,74 @@ TEST(BenchIo, RejectsCycle) {
   std::string err;
   EXPECT_FALSE(read_bench(text, &err).has_value());
   EXPECT_NE(err.find("cyclic"), std::string::npos);
+}
+
+TEST(BenchIo, RejectsMultiFaninNotAndBuf) {
+  for (const char* gate : {"NOT", "BUFF", "INV", "BUF"}) {
+    std::string err;
+    const std::string text = std::string("INPUT(a)\nINPUT(b)\nf = ") + gate + "(a, b)\n";
+    EXPECT_FALSE(read_bench(text, &err).has_value()) << gate;
+    EXPECT_NE(err.find("one fanin"), std::string::npos) << gate << ": " << err;
+  }
+}
+
+TEST(BenchIo, RejectsSignalDefinedTwice) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nINPUT(b)\nf = AND(a, b)\nf = OR(a, b)\n", &err));
+  EXPECT_NE(err.find("signal defined twice: f"), std::string::npos) << err;
+}
+
+TEST(BenchIo, RejectsInputRedefinedByGate) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\na = NOT(a)\nOUTPUT(a)\n", &err));
+  EXPECT_NE(err.find("input redefined by a gate: a"), std::string::npos) << err;
+}
+
+TEST(BenchIo, RejectsDuplicateInput) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nINPUT(a)\nf = NOT(a)\n", &err));
+  EXPECT_NE(err.find("duplicate input: a"), std::string::npos) << err;
+}
+
+// Out-of-order files resolve to the order a rescan of the file until every
+// gate resolves would give: each pass emits, in file order, the gates whose
+// fanins are defined by then.
+TEST(BenchIo, OutOfOrderGatesKeepRescanOrder) {
+  const std::string text =
+      "INPUT(a)\n"
+      "z = NOT(y)\n"  // pass 3
+      "y = NOT(x)\n"  // pass 2
+      "x = NOT(a)\n"  // pass 1
+      "w = BUF(a)\n"  // pass 1
+      "v = AND(w, a)\n";  // pass 1: w precedes it
+  std::string err;
+  auto nl = read_bench(text, &err);
+  ASSERT_TRUE(nl.has_value()) << err;
+  std::vector<std::string> names;
+  for (const auto& g : nl->gates()) names.push_back(g.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "x", "w", "v", "y", "z"}));
+}
+
+// Resolution is linear: a reverse-ordered chain used to cost one rescan of
+// every pending gate per gate (quadratic; ~48 s at this size).
+TEST(BenchIo, ReverseOrderedChainResolvesInLinearTime) {
+  constexpr int kGates = 50000;
+  const std::string last = std::string("g").append(std::to_string(kGates));
+  std::string text = "INPUT(g0)\nOUTPUT(";
+  text.append(last).append(")\n");
+  for (int i = kGates; i >= 1; --i) {
+    text.append("g").append(std::to_string(i));
+    text.append(" = NOT(g").append(std::to_string(i - 1)).append(")\n");
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string err;
+  const auto nl = read_bench(text, &err);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ASSERT_TRUE(nl.has_value()) << err;
+  EXPECT_EQ(nl->size(), static_cast<std::size_t>(kGates) + 1);
+  EXPECT_EQ(nl->gate(nl->outputs()[0]).name, last);
+  EXPECT_LT(seconds, 2.0);
 }
 
 TEST(BenchIo, AcceptsAliases) {
